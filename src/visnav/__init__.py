@@ -11,15 +11,14 @@ for seeded Monte-Carlo experiments.
 from .control import (ZERO_COMMAND, ControllerGains, PixelError, VelocityCommand,
                       compute_command, pixel_error)
 from .geometry import (FrameSpec, GroundedError, PixelPoint, Pose, body_offset,
-                       ground_footprint, image_center, in_frame, project)
+                       ground_footprint, in_frame, project)
 from .harness import (Campaign, CampaignStats, InsufficientDataError,
                       MalformedLogError, TrialRecord, path_spread, run_campaign,
                       sample_stats)
 from .imagination import (DEFAULT_OFFSET_PX, Distance, Duration, EmptyLogError,
                           ImaginedSegment, ImaginedTrajectory, LogEntry,
                           MarkerDetected, MotionLog, forward_target, offset_target,
-                          random_trajectory, reflect_about_center, reverse,
-                          reverse_trajectory, square_trajectory)
+                          reflect_about_center, reverse, square_trajectory)
 from .mission import (AbsorbingStateError, MissionKind, MissionResult, MissionSpec,
                       MissionState, Phase, Scenario, ScenarioError, audit_transitions,
                       default_scenario, fly_trajectory, forward_search_trajectory,
@@ -27,6 +26,6 @@ from .mission import (AbsorbingStateError, MissionKind, MissionResult, MissionSp
 from .perception import (Color, Detection, Frame, Marker, detect, frame_filename,
                          render, write_ppm)
 from .sim import (NoiseModel, SimConfig, TrajectoryRow, WorldState, capture,
-                  make_world, read_trajectory_csv, step, write_trajectory_csv)
+                  make_world, step, write_trajectory_csv)
 
 __version__ = "1.0.0"

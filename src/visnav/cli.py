@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (Campaign, MalformedLogError, load_trajectory, path_spread,
-                      read_results_csv, run_campaign, summarize_results)
+from .harness import (Campaign, MalformedLogError, format_summary, load_trajectory,
+                      path_spread, read_results_csv, run_campaign, summarize_results)
 from .mission import ScenarioError, default_scenario, load_scenario
 
 
@@ -87,11 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     rows = read_results_csv(args.infile)
-    stats = summarize_results(rows)
-    print(f"trials: {len(rows)}")
-    print(f"success_count: {stats.success_count}")
-    print(f"mean_s: {stats.mean}")
-    print(f"std_dev_s: {stats.std_dev}")
+    print(format_summary(summarize_results(rows), len(rows)), end="")
     return 0
 
 

@@ -67,6 +67,7 @@ class FrameSpec:
 
     @property
     def center(self) -> PixelPoint:
+        """The vehicle's own position in image coordinates."""
         return PixelPoint(self.width / 2.0, self.height / 2.0)
 
 
@@ -83,11 +84,6 @@ class Pose:
         _require_finite("Pose fields", self.x, self.y, self.z, self.yaw)
         if self.z < 0:
             raise ValueError("altitude z must be >= 0")
-
-
-def image_center(frame: FrameSpec) -> PixelPoint:
-    """The vehicle's own position in image coordinates."""
-    return frame.center
 
 
 def body_offset(drone: Pose, world_point: tuple[float, float]) -> tuple[float, float]:

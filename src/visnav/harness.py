@@ -58,6 +58,8 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("a campaign needs at least one trial")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
     def seed_for(self, trial: int) -> int:
         return self.base_seed + trial
@@ -78,6 +80,26 @@ class CampaignStats:
     std_dev: float
     success_count: int
     records: tuple[TrialRecord, ...]
+
+
+def _aggregate(times: Sequence[float],
+               records: Sequence[TrialRecord] = ()) -> CampaignStats:
+    """CampaignStats over the elapsed times of the successful trials."""
+    if len(times) >= 2:
+        mean, std_dev = sample_stats(times)
+    elif len(times) == 1:
+        mean, std_dev = times[0], float("nan")
+    else:
+        mean, std_dev = float("nan"), float("nan")
+    return CampaignStats(mean, std_dev, len(times), tuple(records))
+
+
+def format_summary(stats: CampaignStats, trials: int) -> str:
+    """The text of summary.txt, which `visnav stats` also prints."""
+    return (f"trials: {trials}\n"
+            f"success_count: {stats.success_count}\n"
+            f"mean_s: {stats.mean}\n"
+            f"std_dev_s: {stats.std_dev}\n")
 
 
 def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
@@ -108,19 +130,10 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
         if out_path is not None:
             write_trajectory_csv(result.rows, out_path / f"trajectory_{trial}.csv")
 
-    times = [r.result.elapsed_s for r in records if r.result.success]
-    success_count = len(times)
-    if success_count >= 2:
-        mean, std_dev = sample_stats(times)
-    elif success_count == 1:
-        mean, std_dev = times[0], float("nan")
-    else:
-        mean, std_dev = float("nan"), float("nan")
-    stats = CampaignStats(mean, std_dev, success_count, tuple(records))
-
+    stats = _aggregate([r.result.elapsed_s for r in records if r.result.success], records)
     if out_path is not None:
         write_results_csv(records, out_path / "results.csv")
-        write_summary(stats, campaign.trials, out_path / "summary.txt")
+        (out_path / "summary.txt").write_text(format_summary(stats, campaign.trials))
     return stats
 
 
@@ -132,16 +145,6 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
             r = rec.result
             writer.writerow([rec.trial, rec.seed, r.outcome, repr(r.elapsed_s),
                              r.ticks, repr(r.final_pose.x), repr(r.final_pose.y)])
-
-
-def write_summary(stats: CampaignStats, trials: int, path: str | Path) -> None:
-    lines = [
-        f"trials: {trials}",
-        f"success_count: {stats.success_count}",
-        f"mean_s: {stats.mean}",
-        f"std_dev_s: {stats.std_dev}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
@@ -158,14 +161,7 @@ def read_results_csv(path: str | Path) -> list[dict]:
 
 def summarize_results(rows: Sequence[dict]) -> CampaignStats:
     """Recompute campaign aggregates from results.csv rows."""
-    times = [float(r["elapsed_s"]) for r in rows if r["outcome"] == "success"]
-    if len(times) >= 2:
-        mean, std_dev = sample_stats(times)
-    elif len(times) == 1:
-        mean, std_dev = times[0], float("nan")
-    else:
-        mean, std_dev = float("nan"), float("nan")
-    return CampaignStats(mean, std_dev, len(times), ())
+    return _aggregate([float(r["elapsed_s"]) for r in rows if r["outcome"] == "success"])
 
 
 def load_trajectory(path: str | Path) -> list[TrajectoryRow]:

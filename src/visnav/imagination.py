@@ -15,11 +15,8 @@ so a noise-free replay negates the outbound displacement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
-
-import numpy as np
 
 from .control import VelocityCommand
 from .geometry import FrameSpec, PixelPoint
@@ -147,37 +144,10 @@ def square_trajectory(frame: FrameSpec, side_duration: float,
     ))
 
 
-def random_trajectory(frame: FrameSpec, rng: np.random.Generator, n_segments: int,
-                      segment_duration: float,
-                      offset_px: float = DEFAULT_OFFSET_PX) -> ImaginedTrajectory:
-    """Random-walk search: uniformly sampled heading per segment at a fixed
-    pixel offset.  Not used by any default mission."""
-    if n_segments < 1:
-        raise ValueError("need at least one segment")
-    angles = rng.uniform(0.0, 2.0 * math.pi, n_segments)
-    return ImaginedTrajectory(tuple(
-        ImaginedSegment(
-            offset_target(frame, offset_px * math.cos(a), offset_px * math.sin(a)),
-            Duration(segment_duration))
-        for a in angles
-    ))
-
-
 def reflect_about_center(p: PixelPoint, frame: FrameSpec) -> PixelPoint:
     """The target's mirror image through the frame center (offset negated)."""
     c = frame.center
     return PixelPoint(2.0 * c.x - p.x, 2.0 * c.y - p.y)
-
-
-def reverse_trajectory(traj: ImaginedTrajectory, frame: FrameSpec) -> ImaginedTrajectory:
-    """Reflect every target about the image center and flip the order.
-
-    An involution: applying it twice reproduces the original trajectory.
-    """
-    return ImaginedTrajectory(tuple(
-        ImaginedSegment(reflect_about_center(s.target, frame), s.terminate_on)
-        for s in reversed(traj.segments)
-    ))
 
 
 def reverse(log: MotionLog, frame: FrameSpec) -> ImaginedTrajectory:

@@ -1,10 +1,11 @@
 """Mission state machines: take off, search, servo, hover, reverse, land.
 
-Every mission kind runs the same loop once per tick: capture a frame,
-detect the color the current phase cares about, choose a target (the
-detected blob centroid, the current imagined segment target, or the home
-pad), run the proportional controller, and fire at most one state
-transition when its condition is met.
+Every mission kind runs the same loop once per tick.  A few steps act
+without looking: liftoff, the top of the climb, the end of the hover dwell
+and touchdown.  Otherwise the tick captures a frame, detects the one color
+the current phase watches, steers on the blob centroid when there is one
+and else on the current imagined segment target (or holds), and fires at
+most one state transition when its condition is met.
 
 The four kinds:
 
@@ -35,7 +36,7 @@ from .control import (ZERO_COMMAND, ControllerGains, VelocityCommand,
 from .geometry import FrameSpec, PixelPoint, Pose
 from .imagination import (Distance, Duration, EmptyLogError, ImaginedSegment,
                           ImaginedTrajectory, MarkerDetected, MotionLog,
-                          forward_target, reverse)
+                          forward_target, reverse, square_trajectory)
 from .perception import Color, Detection, Frame, Marker, detect
 from .sim import (NoiseModel, SimConfig, TrajectoryRow, WorldState, capture,
                   make_world, step)
@@ -132,7 +133,6 @@ class MissionState:
     land_streak: int = 0
     lost_ticks: int = 0
     reversal: Optional[ImaginedTrajectory] = None
-    jitter_applied: bool = False
     # outputs of the latest tick, consumed by run()
     climb_rate: float = 0.0
     last_detected: Optional[Color] = None
@@ -162,11 +162,25 @@ def initial_state(spec: MissionSpec) -> MissionState:
     return MissionState(phase=Phase.ON_CARRIER)
 
 
-def _fail(state: MissionState, reason: str) -> VelocityCommand:
+#: Phases whose moving commands make up the outbound motion log.
+_OUTBOUND_PHASES = (Phase.SEARCHING, Phase.SERVOING, Phase.HOVERING_ON_TARGET)
+
+#: What a tick steers on and the command it produced; no target means hold.
+_Action = tuple[Optional[PixelPoint], VelocityCommand]
+
+
+def _fail(state: MissionState, reason: str) -> _Action:
     state.phase = Phase.FAILED
     state.fail_reason = reason
-    state.climb_rate = 0.0
-    return ZERO_COMMAND
+    return None, ZERO_COMMAND
+
+
+def _steer(state: MissionState, target: PixelPoint, gains: ControllerGains,
+           cfg: SimConfig) -> VelocityCommand:
+    """Proportional command towards a blob centroid or an imagined target."""
+    err = pixel_error(target, cfg.frame.center)
+    state.last_err = err.norm()
+    return compute_command(err, gains)
 
 
 def _enter_segment(state: MissionState, index: int, world: WorldState) -> None:
@@ -175,38 +189,23 @@ def _enter_segment(state: MissionState, index: int, world: WorldState) -> None:
     state.segment_start_xy = (world.drone.x, world.drone.y)
 
 
-def _segment_command(state: MissionState, seg: ImaginedSegment,
-                     cfg: SimConfig) -> VelocityCommand:
-    err = pixel_error(seg.target, cfg.frame.center)
-    cmd = compute_command(err, cfg.gains)
-    state.last_err = err.norm()
-    return cmd
-
-
-def _servo_command(state: MissionState, det: Detection, cfg: SimConfig,
-                   gains: Optional[ControllerGains] = None) -> VelocityCommand:
-    err = pixel_error(det.center, cfg.frame.center)
-    cmd = compute_command(err, gains or cfg.gains)
-    state.last_err = err.norm()
-    state.last_detected = det.color
-    return cmd
-
-
-def _log_if_moving(state: MissionState, cmd: VelocityCommand, dt: float,
-                   target: PixelPoint) -> None:
-    if not cmd.hovering and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
-        state.log.append(state.elapsed, cmd, dt, target)
+def _start_leg(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
+               cfg: SimConfig) -> _Action:
+    """Fly the first segment of a search or return leg from the current pose."""
+    _enter_segment(state, 0, world)
+    state.segment_elapsed += cfg.dt
+    target = traj.segments[0].target
+    return target, _steer(state, target, cfg.gains, cfg)
 
 
 def _segment_expired(state: MissionState, seg: ImaginedSegment,
-                     world: WorldState, frame: Optional[Frame],
-                     cfg: SimConfig, absent_color: Optional[Color] = None) -> bool:
-    """Evaluate the segment's own termination rule.  Marker terminations
-    are checked before time/distance ones.  ``absent_color`` names a color
+                     world: WorldState, frame: Frame, cfg: SimConfig,
+                     absent_color: Color) -> bool:
+    """Evaluate the segment's own termination rule.  ``absent_color`` was
     already searched in this frame and not found, so it needs no re-scan."""
     rule = seg.terminate_on
     if isinstance(rule, MarkerDetected):
-        if frame is None or rule.color is absent_color:
+        if rule.color is absent_color:
             return False
         return detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
@@ -216,6 +215,22 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment,
         moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
         return moved >= rule.meters - 1e-12
     raise TypeError(f"unknown termination rule {rule!r}")
+
+
+def _follow(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
+            frame: Frame, cfg: SimConfig, absent_color: Color) -> Optional[PixelPoint]:
+    """Target of the segment to fly this tick, moving on to the next one
+    once the current segment has expired.  None once the last segment has
+    expired; segment_index then stays one past the end."""
+    segments = traj.segments
+    i = state.segment_index
+    if i < len(segments) and _segment_expired(state, segments[i], world, frame, cfg,
+                                              absent_color):
+        _enter_segment(state, i + 1, world)
+    if state.segment_index == len(segments):
+        return None
+    state.segment_elapsed += cfg.dt
+    return segments[state.segment_index].target
 
 
 def tick(state: MissionState, spec: MissionSpec, world: WorldState,
@@ -233,198 +248,122 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
         raise AbsorbingStateError(f"mission already {state.phase.value}")
 
     state.climb_rate = 0.0
-    state.last_detected = None
-    state.last_err = None
-    state.last_frame = None
+    state.last_detected = state.last_err = state.last_frame = None
+    sigma = cfg.noise.takeoff_jitter_std
+    if state.ticks == 0 and sigma > 0:
+        jx, jy = world.rng.normal(0.0, sigma, 2).tolist()
+        world.drone = replace(world.drone, x=world.drone.x + jx, y=world.drone.y + jy)
 
-    if not state.jitter_applied:
-        state.jitter_applied = True
-        sigma = cfg.noise.takeoff_jitter_std
-        if sigma > 0:
-            jx, jy = world.rng.normal(0.0, sigma, 2)
-            world.drone = replace(world.drone, x=world.drone.x + jx,
-                                  y=world.drone.y + jy)
-
-    if state.elapsed >= spec.timeout:
-        cmd = _fail(state, "timeout")
-    else:
-        cmd = _HANDLERS[state.phase](state, spec, world, cfg)
+    target, cmd = _act(state, spec, world, cfg)
+    if state.phase in _OUTBOUND_PHASES and not cmd.hovering \
+            and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
+        state.log.append(state.elapsed, cmd, cfg.dt, target)
 
     state.ticks += 1
     state.elapsed = state.ticks * cfg.dt
     return state, cmd
 
 
-def _tick_on_carrier(state: MissionState, spec: MissionSpec, world: WorldState,
-                     cfg: SimConfig) -> VelocityCommand:
-    state.phase = Phase.TAKING_OFF
-    state.climb_rate = cfg.climb_rate
-    return ZERO_COMMAND
-
-
-def _tick_taking_off(state: MissionState, spec: MissionSpec, world: WorldState,
-                     cfg: SimConfig) -> VelocityCommand:
-    if world.drone.z >= cfg.altitude - _ALTITUDE_EPS:
+def _act(state: MissionState, spec: MissionSpec, world: WorldState,
+         cfg: SimConfig) -> _Action:
+    """Fire at most one phase change and choose this tick's command."""
+    phase = state.phase
+    # steps that act without looking
+    if state.elapsed >= spec.timeout:
+        return _fail(state, "timeout")
+    if phase is Phase.ON_CARRIER or (
+            phase is Phase.TAKING_OFF and world.drone.z < cfg.altitude - _ALTITUDE_EPS):
+        state.phase = Phase.TAKING_OFF
+        state.climb_rate = cfg.climb_rate
+        return None, ZERO_COMMAND
+    if phase is Phase.TAKING_OFF:
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
         state.phase = Phase.SEARCHING
-        _enter_segment(state, 0, world)
-        seg = spec.trajectory.segments[0]
-        cmd = _segment_command(state, seg, cfg)
-        _log_if_moving(state, cmd, cfg.dt, seg.target)
-        state.segment_elapsed += cfg.dt
-        return cmd
-    state.climb_rate = cfg.climb_rate
-    return ZERO_COMMAND
+        return _start_leg(state, spec.trajectory, world, cfg)
+    if phase is Phase.HOVERING_ON_TARGET and state.hover_elapsed >= HOVER_DWELL_S - 1e-9:
+        if spec.kind not in _RETURNING_KINDS:
+            state.succeeded = True  # and hold over the marker for this last tick
+        else:
+            try:
+                state.reversal = reverse(state.log, cfg.frame)
+            except EmptyLogError:
+                return _fail(state, "reversal_unavailable")
+            state.phase = Phase.REVERSING
+            return _start_leg(state, state.reversal, world, cfg)
+    if phase is Phase.LANDING and world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
+        world.drone = replace(world.drone, z=cfg.carrier_height)
+        state.phase = Phase.LANDED
+        state.succeeded = True
+        return None, ZERO_COMMAND
 
-
-def _tick_searching(state: MissionState, spec: MissionSpec, world: WorldState,
-                    cfg: SimConfig) -> VelocityCommand:
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, spec.search_color, cfg.min_blob_size)
-    if det is not None:
-        state.phase = Phase.SERVOING
-        state.servo_color = spec.search_color
-        state.lost_ticks = 0
-        cmd = _servo_command(state, det, cfg)
-        _log_if_moving(state, cmd, cfg.dt, det.center)
-        return cmd
-
-    seg = spec.trajectory.segments[state.segment_index]
-    if _segment_expired(state, seg, world, frame, cfg, absent_color=spec.search_color):
-        if state.segment_index + 1 >= len(spec.trajectory.segments):
-            return _fail(state, "search_exhausted")
-        _enter_segment(state, state.segment_index + 1, world)
-        seg = spec.trajectory.segments[state.segment_index]
-    cmd = _segment_command(state, seg, cfg)
-    _log_if_moving(state, cmd, cfg.dt, seg.target)
-    state.segment_elapsed += cfg.dt
-    return cmd
-
-
-def _tick_servoing(state: MissionState, spec: MissionSpec, world: WorldState,
-                   cfg: SimConfig) -> VelocityCommand:
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, state.servo_color, cfg.min_blob_size)
+    # look for the one color this phase cares about
+    if phase is Phase.SEARCHING:
+        watched = spec.search_color
+    elif phase is Phase.SERVOING or phase is Phase.HOVERING_ON_TARGET:
+        watched = state.servo_color
+    else:
+        watched = spec.home_color
+    frame = state.last_frame = capture(world, cfg)
+    det = detect(frame, watched, cfg.min_blob_size)
+    if phase is Phase.HOVERING_ON_TARGET:
+        state.hover_elapsed += cfg.dt
+    elif phase is Phase.LANDING:
+        state.climb_rate = -cfg.descent_rate
     if det is None:
+        return _on_miss(state, spec, world, frame, cfg, watched)
+    return _on_hit(state, det, cfg)
+
+
+def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: Frame,
+             cfg: SimConfig, watched: Color) -> _Action:
+    """Nothing of the watched color in view: fly the current leg or hold."""
+    phase = state.phase
+    if phase is Phase.SEARCHING or phase is Phase.REVERSING:
+        leg = spec.trajectory if phase is Phase.SEARCHING else state.reversal
+        target = _follow(state, leg, world, frame, cfg, watched)
+        if target is not None:
+            return target, _steer(state, target, cfg.gains, cfg)
+        if phase is Phase.SEARCHING:
+            return _fail(state, "search_exhausted")
+        # an exhausted replay holds and keeps scanning for home
+    elif phase is Phase.SERVOING:
         state.lost_ticks += 1
         if spec.trajectory is not None and state.lost_ticks > LOST_PATIENCE_TICKS:
             # resume the interrupted search segment from the current pose
             state.phase = Phase.SEARCHING
             state.lost_ticks = 0
             _enter_segment(state, state.segment_index, world)
-        return ZERO_COMMAND
-    state.lost_ticks = 0
-    cmd = _servo_command(state, det, cfg)
-    if cmd.hovering:
-        state.phase = Phase.HOVERING_ON_TARGET
-        state.hover_elapsed = 0.0
-        return cmd
-    _log_if_moving(state, cmd, cfg.dt, det.center)
-    return cmd
+    elif phase is Phase.SERVOING_HOME:
+        state.land_streak = 0
+    return None, ZERO_COMMAND
 
 
-def _tick_hovering(state: MissionState, spec: MissionSpec, world: WorldState,
-                   cfg: SimConfig) -> VelocityCommand:
-    if state.hover_elapsed >= HOVER_DWELL_S - 1e-9:
-        if spec.kind in _RETURNING_KINDS:
-            try:
-                state.reversal = reverse(state.log, cfg.frame)
-            except EmptyLogError:
-                return _fail(state, "reversal_unavailable")
-            state.phase = Phase.REVERSING
-            _enter_segment(state, 0, world)
-            seg = state.reversal.segments[0]
-            cmd = _segment_command(state, seg, cfg)
-            state.segment_elapsed += cfg.dt
-            return cmd
-        state.succeeded = True
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, state.servo_color, cfg.min_blob_size)
-    state.hover_elapsed += cfg.dt
-    if det is None:
-        return ZERO_COMMAND
-    cmd = _servo_command(state, det, cfg)
-    # drift corrections while hovering are part of the outbound motion
-    _log_if_moving(state, cmd, cfg.dt, det.center)
-    return cmd
-
-
-def _tick_reversing(state: MissionState, spec: MissionSpec, world: WorldState,
-                    cfg: SimConfig) -> VelocityCommand:
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, spec.home_color, cfg.min_blob_size)
-    if det is not None:
+def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
+    """Servo on the detected blob and take the phase change it earns."""
+    phase = state.phase
+    state.last_detected = det.color
+    gains = cfg.gains
+    if phase is Phase.SERVOING_HOME or phase is Phase.LANDING:
+        gains = replace(gains, hover_threshold=LAND_THRESHOLD_PX)
+    cmd = _steer(state, det.center, gains, cfg)
+    if phase is Phase.SEARCHING:
+        state.phase = Phase.SERVOING
+        state.servo_color = det.color
+        state.lost_ticks = 0
+    elif phase is Phase.SERVOING:
+        state.lost_ticks = 0
+        if cmd.hovering:
+            state.phase = Phase.HOVERING_ON_TARGET
+            state.hover_elapsed = 0.0
+    elif phase is Phase.REVERSING:
         state.phase = Phase.SERVOING_HOME
         state.land_streak = 0
-        return _servo_command(state, det, cfg)
-
-    if state.segment_index >= len(state.reversal.segments):
-        return ZERO_COMMAND  # replay exhausted: hold and keep scanning
-    seg = state.reversal.segments[state.segment_index]
-    if _segment_expired(state, seg, world, None, cfg):
-        if state.segment_index + 1 >= len(state.reversal.segments):
-            state.segment_index += 1
-            return ZERO_COMMAND
-        _enter_segment(state, state.segment_index + 1, world)
-        seg = state.reversal.segments[state.segment_index]
-    cmd = _segment_command(state, seg, cfg)
-    state.segment_elapsed += cfg.dt
-    return cmd
-
-
-def _land_gains(cfg: SimConfig) -> ControllerGains:
-    return replace(cfg.gains, hover_threshold=LAND_THRESHOLD_PX)
-
-
-def _tick_servoing_home(state: MissionState, spec: MissionSpec, world: WorldState,
-                        cfg: SimConfig) -> VelocityCommand:
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, spec.home_color, cfg.min_blob_size)
-    if det is None:
-        state.land_streak = 0
-        return ZERO_COMMAND
-    cmd = _servo_command(state, det, cfg, _land_gains(cfg))
-    if cmd.hovering:
-        state.land_streak += 1
+    elif phase is Phase.SERVOING_HOME:
+        state.land_streak = state.land_streak + 1 if cmd.hovering else 0
         if state.land_streak >= LAND_DWELL_TICKS:
             state.phase = Phase.LANDING
             state.climb_rate = -cfg.descent_rate
-    else:
-        state.land_streak = 0
-    return cmd
-
-
-def _tick_landing(state: MissionState, spec: MissionSpec, world: WorldState,
-                  cfg: SimConfig) -> VelocityCommand:
-    if world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
-        world.drone = replace(world.drone, z=cfg.carrier_height)
-        state.phase = Phase.LANDED
-        state.succeeded = True
-        return ZERO_COMMAND
-    state.climb_rate = -cfg.descent_rate
-    frame = capture(world, cfg)
-    state.last_frame = frame
-    det = detect(frame, spec.home_color, cfg.min_blob_size)
-    if det is None:
-        return ZERO_COMMAND
-    return _servo_command(state, det, cfg, _land_gains(cfg))
-
-
-_HANDLERS: dict[Phase, Callable[..., VelocityCommand]] = {
-    Phase.ON_CARRIER: _tick_on_carrier,
-    Phase.TAKING_OFF: _tick_taking_off,
-    Phase.SEARCHING: _tick_searching,
-    Phase.SERVOING: _tick_servoing,
-    Phase.HOVERING_ON_TARGET: _tick_hovering,
-    Phase.REVERSING: _tick_reversing,
-    Phase.SERVOING_HOME: _tick_servoing_home,
-    Phase.LANDING: _tick_landing,
-}
+    return det.center, cmd
 
 
 @dataclass(frozen=True)
@@ -612,7 +551,6 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
     if kind == "forward":
         return forward_search_trajectory(frame, search_color)
     if kind == "square":
-        from .imagination import square_trajectory
         return square_trajectory(frame, float(node["side_duration_s"]),
                                  float(node.get("offset_px", 100.0)))
     if kind == "segments":

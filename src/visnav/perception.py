@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import FrameSpec, GroundedError, PixelPoint, Pose, project
+from .geometry import FrameSpec, GroundedError, PixelPoint, Pose, _require_finite, project
 
 BACKGROUND = 0
 
@@ -57,6 +57,7 @@ class Marker:
     color: Color
 
     def __post_init__(self) -> None:
+        _require_finite("marker position", *self.position)
         if not self.radius > 0:
             raise ValueError("marker radius must be positive")
 

@@ -123,9 +123,9 @@ def step(world: WorldState, cmd: VelocityCommand, cfg: SimConfig,
     vx = cmd.vel_forward * c + cmd.vel_right * s
     vy = cmd.vel_forward * s - cmd.vel_right * c
     if cfg.noise.drift_std > 0:
-        drift = world.rng.normal(0.0, cfg.noise.drift_std, 2)
-        vx += drift[0]
-        vy += drift[1]
+        dx, dy = world.rng.normal(0.0, cfg.noise.drift_std, 2).tolist()
+        vx += dx
+        vy += dy
     new_z = max(0.0, world.drone.z + vz * cfg.dt)
     world.drone = replace(world.drone,
                           x=world.drone.x + vx * cfg.dt,
@@ -187,7 +187,7 @@ class TrajectoryRow:
 
 def write_trajectory_csv(rows: Sequence[TrajectoryRow], path: str | Path) -> None:
     """Write rows with the canonical header.  Floats are written with repr
-    so a re-read round-trips bit-exactly."""
+    so harness.load_trajectory reads them back bit-exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
@@ -199,10 +199,3 @@ def write_trajectory_csv(rows: Sequence[TrajectoryRow], path: str | Path) -> Non
                 "" if r.err_px is None else repr(r.err_px),
             ])
 
-
-def read_trajectory_csv(path: str | Path) -> tuple[list[str], list[dict]]:
-    """Read a trajectory CSV as (header, raw row dicts); no validation."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or [])
-        return header, list(reader)

@@ -2,6 +2,7 @@
 
 import json
 
+from visnav import default_scenario, run
 from visnav.cli import main
 
 
@@ -139,3 +140,44 @@ def test_spread_on_wrong_csv_exits_2(tmp_path):
     out = tmp_path / "out"
     main(["run", "--task", "track", "--trials", "1", "--out", str(out)])
     assert main(["spread", "--in", str(out / "results.csv")]) == 2
+
+
+def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
+    # drift and takeoff jitter on: every file the run writes must read back
+    out = tmp_path / "out"
+    assert main(["run", "--task", "return", "--trials", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for trial in (0, 1):
+        assert main(["spread", "--in", str(out / f"trajectory_{trial}.csv")]) == 0
+        assert capsys.readouterr().out.startswith("path_spread_m:")
+    assert main(["stats", "--in", str(out / "results.csv")]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
+
+def test_noisy_poses_stay_python_floats():
+    sc = default_scenario("return")
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert all(type(row.drone_x) is float and type(row.drone_y) is float
+               for row in result.rows)
+    assert type(result.final_pose.x) is float and type(result.final_pose.y) is float
+
+
+def test_run_rejects_non_finite_marker_position(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"task": "forward", "markers": '
+                    '[{"x": NaN, "y": 0.0, "radius": 0.06, "color": "pink"}]}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert "marker position must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/trajectory_*.csv"))
+
+
+def test_run_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--task", "track", "--trials", "1", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    cfg = write_config(tmp_path, base_seed=-3)
+    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/trajectory_*.csv"))

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from visnav import (FrameSpec, GroundedError, PixelPoint, Pose, ground_footprint,
-                    image_center, in_frame, project)
+                    in_frame, project)
 
 DEFAULT = FrameSpec()
 
 
 def test_image_center_default_frame():
-    c = image_center(DEFAULT)
+    c = DEFAULT.center
     assert (c.x, c.y) == (320.0, 180.0)
 
 
 def test_image_center_square_frame():
-    c = image_center(FrameSpec(100, 100, 50.0))
+    c = FrameSpec(100, 100, 50.0).center
     assert (c.x, c.y) == (50.0, 50.0)
 
 

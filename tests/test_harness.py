@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from visnav import (Campaign, InsufficientDataError, MalformedLogError, NoiseModel,
-                    TrajectoryRow, default_scenario, path_spread, run, run_campaign,
-                    sample_stats)
-from visnav.harness import load_trajectory, read_results_csv, summarize_results
+from visnav import (Campaign, InsufficientDataError, MalformedLogError, MissionResult,
+                    NoiseModel, Pose, TrajectoryRow, TrialRecord, default_scenario,
+                    path_spread, run, run_campaign, sample_stats)
+from visnav.harness import (format_summary, load_trajectory, read_results_csv,
+                            summarize_results, write_results_csv)
 
 
 def test_sample_stats_known_values():
@@ -82,6 +85,41 @@ def test_campaign_outputs_and_roundtrip(tmp_path):
     assert recomputed.mean == pytest.approx(stats.mean)
     summary = (tmp_path / "summary.txt").read_text()
     assert "success_count: 3" in summary
+    assert summary == format_summary(recomputed, len(rows))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trial_records(draw):
+    n = draw(st.integers(1, 8))
+    records = []
+    for trial in range(n):
+        success = draw(st.booleans())
+        result = MissionResult(
+            success=success,
+            outcome="success" if success else draw(st.sampled_from(
+                ["failed:timeout", "failed:search_exhausted"])),
+            elapsed_s=draw(_finite), ticks=draw(st.integers(0, 10**6)),
+            final_pose=Pose(draw(_finite), draw(_finite), 1.0), rows=())
+        records.append(TrialRecord(trial, draw(st.integers(0, 2**63)), result))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trial_records())
+def test_results_csv_round_trips_any_records(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("results") / "results.csv"
+    write_results_csv(records, path)
+    rows = read_results_csv(path)
+    assert [(int(r["trial"]), int(r["seed"]), r["outcome"], int(r["ticks"])) for r in rows] == \
+        [(rec.trial, rec.seed, rec.result.outcome, rec.result.ticks) for rec in records]
+    # repr tells -0.0 from 0.0, so equal reprs mean bit-identical floats
+    assert [repr((float(r["elapsed_s"]), float(r["final_x"]), float(r["final_y"])))
+            for r in rows] == \
+        [repr((rec.result.elapsed_s, rec.result.final_pose.x, rec.result.final_pose.y))
+         for rec in records]
 
 
 def test_campaign_output_bytes_are_deterministic(tmp_path):
@@ -155,3 +193,5 @@ def test_campaign_validation():
     sc = default_scenario("track")
     with pytest.raises(ValueError):
         Campaign(sc, trials=0)
+    with pytest.raises(ValueError, match="base_seed"):
+        Campaign(sc, base_seed=-1)

@@ -9,8 +9,8 @@ from visnav import (Color, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
                     ImaginedTrajectory, MarkerDetected, MissionKind, MissionSpec,
                     MotionLog, NoiseModel, PixelPoint, Pose, Scenario, SimConfig,
                     VelocityCommand, fly_trajectory, forward_target, make_world,
-                    offset_target, random_trajectory, reflect_about_center, reverse,
-                    reverse_trajectory, run, square_trajectory)
+                    offset_target, reflect_about_center, reverse, run,
+                    square_trajectory)
 
 DEFAULT = FrameSpec()
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())
@@ -79,6 +79,7 @@ def test_l_path_execute_then_reverse_returns_home():
 
 
 def test_reversal_involution_on_trajectories():
+    # fly, reverse, fly back, reverse again: the original targets return
     rng = np.random.default_rng(41)
     for _ in range(50):
         segs = tuple(
@@ -87,8 +88,10 @@ def test_reversal_involution_on_trajectories():
                 Duration(float(rng.integers(1, 8)) * 0.1))
             for _ in range(rng.integers(1, 6)))
         traj = ImaginedTrajectory(segs)
-        back = reverse_trajectory(reverse_trajectory(traj, DEFAULT), DEFAULT)
-        assert back.targets() == traj.targets()
+        world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
+        log_out = fly_trajectory(traj, world, ZERO_NOISE)
+        log_back = fly_trajectory(reverse(log_out, DEFAULT), world, ZERO_NOISE)
+        assert reverse(log_back, DEFAULT).targets() == traj.targets()
 
 
 def test_reverse_of_reverse_log_reproduces_targets():
@@ -128,15 +131,6 @@ def test_out_of_frame_targets_are_not_clamped():
     xs = [s.target.x for s in traj.segments]
     ys = [s.target.y for s in traj.segments]
     assert min(xs + ys) == -250.0 and max(xs + ys) == 350.0
-
-
-def test_random_trajectory_is_seeded_and_fixed_offset():
-    t1 = random_trajectory(DEFAULT, np.random.default_rng(7), 5, 1.0)
-    t2 = random_trajectory(DEFAULT, np.random.default_rng(7), 5, 1.0)
-    assert t1.targets() == t2.targets()
-    for s in t1.segments:
-        off = math.hypot(s.target.x - 320.0, s.target.y - 180.0)
-        assert off == pytest.approx(100.0)
 
 
 def test_reflect_about_center():

@@ -269,3 +269,28 @@ def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
 def test_load_scenario_missing_file():
     with pytest.raises(ScenarioError):
         load_scenario("/nonexistent/mission.json")
+
+
+def test_exhausted_return_replay_holds_until_timeout():
+    # the carrier drives off, so the replayed return leg ends over an empty
+    # pad site: the vehicle then holds at zero velocity and keeps scanning
+    from visnav import step
+    from visnav.mission import build_scenario
+    sc = build_scenario({"task": "coordination", "timeout_s": 100.0,
+                         "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0},
+                                 "carrier_waypoints": [[-4.0, 3.0]]}})
+    world = sc.make_world(0)
+    state = initial_state(sc.spec)
+    rows = []
+    while not state.done:
+        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        rows.append((state.label(), cmd))
+        step(world, cmd, sc.cfg, vz=state.climb_rate)
+    n = len(state.reversal.segments)
+    held = f"reversing:{n}"
+    first = [label for label, _ in rows].index(held)
+    assert [label for label, _ in rows[first - 1:first]] == [f"reversing:{n - 1}"]
+    assert all(label == held and cmd.vel_forward == 0.0 and cmd.vel_right == 0.0
+               for label, cmd in rows[first:-1])
+    assert rows[-1][0] == "failed:timeout"
+    assert (len(rows), n, len(rows) - 1 - first) == (1001, 363, 243)
