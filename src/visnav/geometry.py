@@ -14,9 +14,10 @@ Body-to-image mapping:
   - forward -> -y, right -> +x.  A target drawn above the image center
     therefore pulls the vehicle forward.
 
-The camera is nadir-pointing and markers lie on the flat ground plane, so
-projection is a similarity transform: pixel offset from the image center
-equals focal_length * (body offset / altitude).
+The camera is nadir-pointing and markers lie level (on the ground plane or
+on a raised pad), so projection is a similarity transform: pixel offset
+from the image center equals focal_length * (body offset / depth), where
+depth is the camera's height above the marker.
 """
 
 from __future__ import annotations
@@ -99,18 +100,20 @@ def body_offset(drone: Pose, world_point: tuple[float, float]) -> tuple[float, f
     return c * dx + s * dy, s * dx - c * dy
 
 
-def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec) -> PixelPoint:
-    """Pinhole projection of a ground-plane point into the bottom camera.
+def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,
+            height: float = 0.0) -> PixelPoint:
+    """Pinhole projection of a point ``height`` above the ground plane into
+    the bottom camera; the depth is drone.z - height.
 
     The result is a valid PixelPoint even when it falls outside the frame
     bounds; use :func:`in_frame` to test visibility.
 
-    Raises GroundedError when the vehicle is not airborne.
+    Raises GroundedError when the camera is not above the point.
     """
-    if drone.z <= 0:
-        raise GroundedError("projection undefined with the camera on the ground")
+    if drone.z <= height:
+        raise GroundedError("projection undefined with the camera not above the point")
     forward, right = body_offset(drone, world_point)
-    scale = frame.focal_length / drone.z
+    scale = frame.focal_length / (drone.z - height)
     center = frame.center
     return PixelPoint(center.x + scale * right, center.y - scale * forward)
 

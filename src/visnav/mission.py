@@ -199,14 +199,10 @@ def _start_leg(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
 
 
 def _segment_expired(state: MissionState, seg: ImaginedSegment,
-                     world: WorldState, frame: Frame, cfg: SimConfig,
-                     absent_color: Color) -> bool:
-    """Evaluate the segment's own termination rule.  ``absent_color`` was
-    already searched in this frame and not found, so it needs no re-scan."""
+                     world: WorldState, frame: Frame, cfg: SimConfig) -> bool:
+    """Evaluate the segment's own termination rule."""
     rule = seg.terminate_on
     if isinstance(rule, MarkerDetected):
-        if rule.color is absent_color:
-            return False
         return detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
         return state.segment_elapsed >= rule.seconds - 1e-9
@@ -218,14 +214,13 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment,
 
 
 def _follow(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
-            frame: Frame, cfg: SimConfig, absent_color: Color) -> Optional[PixelPoint]:
+            frame: Frame, cfg: SimConfig) -> Optional[PixelPoint]:
     """Target of the segment to fly this tick, moving on to the next one
     once the current segment has expired.  None once the last segment has
     expired; segment_index then stays one past the end."""
     segments = traj.segments
     i = state.segment_index
-    if i < len(segments) and _segment_expired(state, segments[i], world, frame, cfg,
-                                              absent_color):
+    if i < len(segments) and _segment_expired(state, segments[i], world, frame, cfg):
         _enter_segment(state, i + 1, world)
     if state.segment_index == len(segments):
         return None
@@ -310,17 +305,17 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
     elif phase is Phase.LANDING:
         state.climb_rate = -cfg.descent_rate
     if det is None:
-        return _on_miss(state, spec, world, frame, cfg, watched)
+        return _on_miss(state, spec, world, frame, cfg)
     return _on_hit(state, det, cfg)
 
 
 def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: Frame,
-             cfg: SimConfig, watched: Color) -> _Action:
+             cfg: SimConfig) -> _Action:
     """Nothing of the watched color in view: fly the current leg or hold."""
     phase = state.phase
     if phase is Phase.SEARCHING or phase is Phase.REVERSING:
         leg = spec.trajectory if phase is Phase.SEARCHING else state.reversal
-        target = _follow(state, leg, world, frame, cfg, watched)
+        target = _follow(state, leg, world, frame, cfg)
         if target is not None:
             return target, _steer(state, target, cfg.gains, cfg)
         if phase is Phase.SEARCHING:
@@ -563,6 +558,15 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
     raise ScenarioError(f"unknown trajectory type {kind!r}")
 
 
+def _finite_pair(key: str, value) -> tuple[float, float]:
+    """A config [x, y] point as a tuple, rejected here, naming its key,
+    when a coordinate is not finite (it would fail mid-run otherwise)."""
+    pair = tuple(value)
+    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+        raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
+    return pair
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario from a JSON config file; see build_scenario for the
     schema.  Raises ScenarioError on any malformed content."""
@@ -629,7 +633,7 @@ def build_scenario(data: dict) -> Scenario:
         noise = NoiseModel(**noise_node) if noise_node else base.cfg.noise
         if "carrier_waypoints" in sim_node:
             sim_node["carrier_waypoints"] = tuple(
-                tuple(wp) for wp in sim_node["carrier_waypoints"])
+                _finite_pair("carrier_waypoints", wp) for wp in sim_node["carrier_waypoints"])
         cfg = replace(base.cfg, frame=frame, gains=gains, noise=noise, **sim_node)
 
         search_color = _parse_color(data.get("search_color", base.spec.search_color.name))
@@ -652,8 +656,10 @@ def build_scenario(data: dict) -> Scenario:
                 Marker((float(m["x"]), float(m["y"])), float(m["radius"]),
                        _parse_color(m["color"]))
                 for m in data["markers"])
-        drone_start = tuple(data.get("drone_start", base.drone_start))
-        carrier_start = tuple(data["carrier_start"]) if "carrier_start" in data else None
+        drone_start = _finite_pair("drone_start", data["drone_start"]) \
+            if "drone_start" in data else base.drone_start
+        carrier_start = _finite_pair("carrier_start", data["carrier_start"]) \
+            if "carrier_start" in data else None
         trials = int(data["trials"]) if "trials" in data else None
         base_seed = int(data["base_seed"]) if "base_seed" in data else None
         if trials is not None and trials < 1:

@@ -158,8 +158,9 @@ def _advance_carrier(world: WorldState, cfg: SimConfig) -> None:
 
 def capture(world: WorldState, cfg: SimConfig) -> Frame:
     """Bottom-camera frame: all world markers plus the carrier's blue
-    landing pad rendered at the carrier pose."""
-    pad = Marker((world.carrier.x, world.carrier.y), cfg.carrier_marker_radius, Color.BLUE)
+    landing pad rendered at the carrier pose, carrier_height up."""
+    pad = Marker((world.carrier.x, world.carrier.y), cfg.carrier_marker_radius, Color.BLUE,
+                 cfg.carrier_height)
     return render(world.drone, (*world.markers, pad), cfg.frame)
 
 

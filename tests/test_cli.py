@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from visnav import default_scenario, run
 from visnav.cli import main
 
@@ -181,3 +183,22 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
     assert "base_seed must be >= 0" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("drone_start", [float("nan"), 0.0]),
+    ("carrier_start", [0.0, float("inf")]),
+    ("carrier_waypoints", [[1.0, 0.0], [float("nan"), 0.0]]),
+])
+def test_run_rejects_non_finite_start_and_waypoints(tmp_path, capsys, key, value):
+    config = {"task": "coordination"}
+    if key == "carrier_waypoints":
+        config["sim"] = {key: value}
+    else:
+        config[key] = value
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert f"{key} must be a finite [x, y] pair" in capsys.readouterr().err
+    assert not out.exists()

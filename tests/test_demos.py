@@ -1,0 +1,23 @@
+"""The demos that call the library directly still run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# demo 05 (the drift study) takes several seconds and is left out
+DEMOS = ("01_pixel_controller.py", "02_camera_and_detection.py",
+         "03_square_search_and_reversal.py", "04_search_and_return_mission.py")
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(tmp_path, demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

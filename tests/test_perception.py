@@ -1,7 +1,11 @@
 """Rendering and blob detection over synthetic label frames."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visnav import (Color, Frame, FrameSpec, GroundedError, Marker, Pose, detect,
                     frame_filename, project, render, write_ppm)
@@ -131,7 +135,7 @@ def test_render_detect_bit_exact_determinism():
     f1 = render(HOVER, markers, DEFAULT)
     f2 = render(HOVER, markers, DEFAULT)
     assert np.array_equal(f1.labels, f2.labels)
-    assert f1.content_box == f2.content_box
+    assert f1.discs == f2.discs
     assert detect(f1, Color.PINK) == detect(f2, Color.PINK)
 
 
@@ -166,12 +170,15 @@ def test_same_color_blobs_merge_into_one_centroid():
 def test_frame_shape_validation():
     with pytest.raises(ValueError):
         Frame(DEFAULT, np.zeros((10, 10), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        Frame(DEFAULT)
 
 
-def test_detect_scans_whole_frame_without_content_box():
+def test_detect_scans_whole_frame_built_from_labels():
     labels = np.zeros((360, 640), dtype=np.uint8)
     labels[50:70, 100:120] = Color.RED.value
-    frame = Frame(DEFAULT, labels)  # content_box unknown
+    frame = Frame(DEFAULT, labels)  # no discs: every pixel is scanned
+    assert frame.discs is None
     det = detect(frame, Color.RED)
     assert det is not None
     assert det.center.x == pytest.approx(109.5)
@@ -198,3 +205,71 @@ def test_write_ppm_format_and_determinism(tmp_path):
 def test_marker_radius_validation():
     with pytest.raises(ValueError):
         Marker((0, 0), 0.0, Color.PINK)
+
+
+def test_marker_height_validation():
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Marker((0, 0), 0.1, Color.PINK, bad)
+
+
+# Scenes of 1-6 discs placed in units of the ground footprint, so they
+# overlap, repeat colors and cross the frame edges; some sit raised at 0.4
+# of the altitude: (altitude, yaw, [(fx, fy, radius, color, height), ...]).
+SCENES = st.tuples(
+    st.floats(0.2, 2.0), st.floats(-math.pi, math.pi),
+    st.lists(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3), st.floats(0.02, 0.6),
+                       st.sampled_from(list(Color)), st.sampled_from([0.0, 0.0, 0.4])),
+             min_size=1, max_size=6))
+
+
+def _build(scene, spec):
+    """Drone pose and markers of a drawn scene; offsets and radii scale with
+    the footprint at the altitude drawn."""
+    z, yaw, raw = scene
+    half_w = z * spec.width / 2 / spec.focal_length
+    half_h = z * spec.height / 2 / spec.focal_length
+    markers = [Marker((fy * half_h, fx * half_w), r * half_h, color, h * z)
+               for fx, fy, r, color, h in raw]
+    return Pose(0.0, 0.0, z, yaw), markers
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCENES)
+def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
+    drone, markers = _build(scene, DEFAULT)
+    frame = render(drone, markers, DEFAULT)
+    full = Frame(DEFAULT, frame.labels)
+    for color in Color:
+        for size in (1, 10):
+            assert detect(frame, color, size) == detect(full, color, size)
+
+
+def nearest_disc_oracle(drone, markers, spec):
+    """Plain-python labels: each pixel takes the color of the nearest marker
+    whose projected disc covers it, exact ties to the earliest marker."""
+    discs = []
+    for m in markers:
+        c = project(drone, m.position, spec, m.height)
+        r = spec.focal_length / (drone.z - m.height) * m.radius
+        discs.append((c.x, c.y, r * r, m.color.value))
+    labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
+    for i in range(spec.height):
+        for j in range(spec.width):
+            best = None
+            for cx, cy, r2, code in discs:
+                dx, dy = j - cx, i - cy
+                d2 = dx * dx + dy * dy
+                if d2 <= r2 and (best is None or d2 < best):
+                    best = d2
+                    labels[i, j] = code
+    return labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCENES)
+def test_labels_match_per_pixel_nearest_disc_oracle(scene):
+    spec = FrameSpec(48, 32, 24.0)
+    drone, markers = _build(scene, spec)
+    labels = render(drone, markers, spec).labels
+    assert np.array_equal(labels, nearest_disc_oracle(drone, markers, spec))

@@ -135,6 +135,18 @@ def test_capture_includes_carrier_pad():
     assert (det.center.x, det.center.y) == (320.0, 180.0)
 
 
+def test_capture_draws_raised_carrier_pad_at_its_depth():
+    # a 0.1 m pad 0.5 m up, seen from 1 m: depth 0.5 m, so radius 64 px
+    # (not the 32 px of a pad on the ground) and a doubled centre offset
+    cfg = SimConfig(noise=NoiseModel.zero(), carrier_height=0.5)
+    world = make_world(0, drone=Pose(0.0, 0.0, 1.0, 0.0), carrier=Pose(0.1, 0.0, 0.0, 0.0))
+    det = detect(capture(world, cfg), Color.BLUE)
+    assert det is not None
+    assert det.pixel_count == pytest.approx(math.pi * 64 ** 2, rel=0.01)
+    assert det.center.x == pytest.approx(320.0)
+    assert det.center.y == pytest.approx(180.0 - 64.0, abs=0.5)
+
+
 def test_capture_requires_airborne():
     world = make_world(0)
     with pytest.raises(GroundedError):
