@@ -10,8 +10,8 @@ for seeded Monte-Carlo experiments.
 
 from .control import (ZERO_COMMAND, ControllerGains, PixelError, VelocityCommand,
                       compute_command, pixel_error)
-from .geometry import (FrameSpec, GroundedError, PixelPoint, Pose, body_offset,
-                       ground_footprint, in_frame, project)
+from .geometry import (FrameSpec, GroundedError, PixelPoint, Pose, ground_footprint,
+                       in_frame, project)
 from .harness import (Campaign, CampaignStats, InsufficientDataError,
                       MalformedLogError, TrialRecord, path_spread, run_campaign,
                       sample_stats)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class GroundedError(ValueError):
@@ -87,17 +88,30 @@ class Pose:
             raise ValueError("altitude z must be >= 0")
 
 
-def body_offset(drone: Pose, world_point: tuple[float, float]) -> tuple[float, float]:
-    """Ground-plane offset of ``world_point`` in the drone's body frame.
+def _pixels(drone: Pose, frame: FrameSpec,
+            points: Iterable[tuple[tuple[float, float], float]]) -> list[tuple[float, float, float]]:
+    """Pinhole projection of (world_point, height) pairs from one pose, in
+    one pass: cos/sin of the yaw and the frame center are computed once.
 
-    Returns (forward, right) in meters; right is 90 degrees clockwise from
-    the heading when viewed from above.
+    Returns (x, y, scale) per point: the pixel coordinates as plain floats,
+    unchecked, and scale = focal_length / depth in pixels per meter.  The
+    body offset is (forward, right) = (c*dx + s*dy, s*dx - c*dy), right being
+    90 degrees clockwise from the heading when viewed from above.
+
+    Raises GroundedError when the camera is not above a point.
     """
-    dx = world_point[0] - drone.x
-    dy = world_point[1] - drone.y
-    c = math.cos(drone.yaw)
-    s = math.sin(drone.yaw)
-    return c * dx + s * dy, s * dx - c * dy
+    x, y, z = drone.x, drone.y, drone.z
+    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
+    cx, cy, f = frame.width / 2.0, frame.height / 2.0, frame.focal_length
+    out = []
+    for (px, py), height in points:
+        if z <= height:
+            raise GroundedError("projection undefined with the camera not above the point")
+        dx = px - x
+        dy = py - y
+        scale = f / (z - height)
+        out.append((cx + scale * (s * dx - c * dy), cy - scale * (c * dx + s * dy), scale))
+    return out
 
 
 def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,
@@ -110,12 +124,8 @@ def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,
 
     Raises GroundedError when the camera is not above the point.
     """
-    if drone.z <= height:
-        raise GroundedError("projection undefined with the camera not above the point")
-    forward, right = body_offset(drone, world_point)
-    scale = frame.focal_length / (drone.z - height)
-    center = frame.center
-    return PixelPoint(center.x + scale * right, center.y - scale * forward)
+    (x, y, _), = _pixels(drone, frame, ((world_point, height),))
+    return PixelPoint(x, y)
 
 
 def in_frame(p: PixelPoint, frame: FrameSpec) -> bool:

@@ -46,6 +46,7 @@ LAND_THRESHOLD_PX = 20.0     # centering tolerance that arms the descent
 LAND_DWELL_TICKS = 5         # consecutive in-tolerance ticks required to land
 LOST_PATIENCE_TICKS = 10     # detection dropouts tolerated while servoing
 DEFAULT_TIMEOUT_S = 120.0
+MAX_MISSION_TICKS = 1_000_000  # tick budget of one mission: timeout / dt may not exceed it
 
 _ALTITUDE_EPS = 1e-9
 
@@ -466,7 +467,9 @@ class Scenario:
     """A mission spec plus the world it runs in; seeds make worlds.
 
     trials and base_seed are optional campaign defaults carried from a
-    config file; explicit CLI flags take precedence over them.
+    config file; explicit CLI flags take precedence over them.  Raises
+    ScenarioError when timeout / dt exceeds MAX_MISSION_TICKS, so no run
+    can be practically endless.
     """
 
     spec: MissionSpec
@@ -476,6 +479,13 @@ class Scenario:
     carrier_start: Optional[tuple[float, float]] = None
     trials: Optional[int] = None
     base_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        ticks = self.spec.timeout / self.cfg.dt
+        if ticks > MAX_MISSION_TICKS:
+            raise ScenarioError(
+                f"timeout_s {self.spec.timeout} at dt {self.cfg.dt} allows {ticks:.4g} ticks "
+                f"per mission, over the budget of {MAX_MISSION_TICKS}")
 
     def make_world(self, seed: int) -> WorldState:
         x, y = self.drone_start

@@ -8,7 +8,10 @@ pixels and taking their centroid.  Absence of a blob is a value (None),
 not an error.
 
 Frames rasterise on demand: Frame.labels draws the whole grid on first
-read, and detect() draws just the window around the watched color's discs.
+read.  detect() computes the count and centroid of isolated discs (no
+other drawn disc's box overlaps theirs) in closed form, from per-row span
+moments, and rasterises only overlaps: the window around the watched
+color's discs, where the nearest-disc tie-break decides each pixel.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import FrameSpec, GroundedError, PixelPoint, Pose, _require_finite, project
+from .geometry import FrameSpec, GroundedError, PixelPoint, Pose, _pixels, _require_finite
 
 BACKGROUND = 0
 
@@ -106,6 +109,47 @@ def _raster(discs: Sequence[_Disc], window: tuple[int, int, int, int]) -> np.nda
     return labels
 
 
+#: Offsets from each span end to its outer and its inner probe column.
+_PROBES = np.array([[[1.0]], [[0.0]]])
+
+
+def _moments(disc: _Disc) -> tuple[int, int, int]:
+    """(count, sum of rows, sum of columns) of the pixels _raster gives
+    ``disc`` alone, in closed form.
+
+    In each row of the box the raster's test (c - cx)**2 + (r - cy)**2 <=
+    radius**2 is monotone in c on either side of the center, so the row
+    covers one contiguous span.  A sqrt estimates both ends; each end then
+    steps one column at a time, with that same float test, until the column
+    just inside it is covered and the one just outside is not (or the box
+    edge is reached).  The span sums are integer arithmetic series.
+    """
+    r0, r1, c0, c1 = disc.box
+    cx, cy = disc.center.x, disc.center.y
+    r2 = disc.radius * disc.radius
+    mid = round(cx)
+    # the ends are signed, outward positive: (-first column, last column);
+    # per end: the box edge it stops at, the far edge it may reach when the
+    # row is empty, how far inward it may step (its own side of the center)
+    # and the center
+    edge, far_edge, side, center = np.array(
+        ((-c0, c1 - 1), (-c1, c0 - 1), (-min(mid, c1 - 1), max(mid, c0)), (-cx, cx)))[:, :, None]
+    rows = np.arange(r0, r1, dtype=np.float64)
+    dy2 = (rows - cy) ** 2
+    ends = np.floor(np.sqrt(np.abs(r2 - dy2)) + center)
+    np.fmin(ends, edge, out=ends)     # fmin/fmax: a NaN estimate (inf - inf) takes the edge
+    np.fmax(ends, far_edge, out=ends)
+    while True:
+        outer, inner = (ends + _PROBES - center) ** 2 + dy2 <= r2
+        step = np.subtract(outer & (ends < edge), (ends >= side) > inner, dtype=np.int8)
+        if not step.any():
+            break
+        ends += step
+    n = np.maximum(ends.sum(0) + 1.0, 0.0)
+    neg_first, last = ends @ n
+    return int(n.sum()), int(rows @ n), int(last - neg_first) // 2
+
+
 class Frame:
     """A bottom-camera label grid of shape (height, width), dtype uint8.
 
@@ -143,22 +187,38 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     background.  Discs project as discs (nadir camera, level markers) with
     pixel radius = focal_length * radius / (drone.z - marker.height).
 
-    Raises GroundedError when the camera is not above every marker.
+    Raises GroundedError when the camera is not above every marker, and
+    ValueError when a marker's projected center is not finite.
     """
     if drone.z <= 0:
         raise GroundedError("cannot render with the camera on the ground")
     w, h = frame_spec.width, frame_spec.height
     discs = []
-    for marker in markers:
-        center = project(drone, marker.position, frame_spec, marker.height)
-        pr = frame_spec.focal_length / (drone.z - marker.height) * marker.radius
-        col0 = max(0, math.ceil(center.x - pr))
-        col1 = min(w, math.floor(center.x + pr) + 1)
-        row0 = max(0, math.ceil(center.y - pr))
-        row1 = min(h, math.floor(center.y + pr) + 1)
+    projected = _pixels(drone, frame_spec, [(m.position, m.height) for m in markers])
+    for marker, (x, y, scale) in zip(markers, projected):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
+        pr = scale * marker.radius
+        col0 = max(0, math.ceil(x - pr))
+        col1 = min(w, math.floor(x + pr) + 1)
+        row0 = max(0, math.ceil(y - pr))
+        row1 = min(h, math.floor(y + pr) + 1)
         if col0 < col1 and row0 < row1:
-            discs.append(_Disc(marker.color.value, center, pr, (row0, row1, col0, col1)))
+            discs.append(_Disc(marker.color.value, PixelPoint(x, y), pr, (row0, row1, col0, col1)))
     return Frame(frame_spec, discs=tuple(discs))
+
+
+def _label_moments(region: np.ndarray, code: int, row0: int, col0: int) -> tuple[int, int, int]:
+    """(count, sum of rows, sum of columns) of the pixels labelled ``code`` in
+    a region whose top-left pixel is (row0, col0) of the frame."""
+    rows, cols = np.nonzero(region == np.uint8(code))
+    count = int(rows.size)
+    return count, int(rows.sum()) + count * row0, int(cols.sum()) + count * col0
+
+
+def _overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
+    """True iff two half-open (row0, row1, col0, col1) boxes share a pixel."""
+    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
 
 
 def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZE) -> Optional[Detection]:
@@ -167,27 +227,29 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     The centroid is the plain mean of matching pixel coordinates (computed
     from exact integer sums), so two same-colored blobs yield the centroid
     of their union.  None signals absence, not failure.  On a rendered
-    frame only the box around the color's discs is rasterised.
+    frame the color's discs are summed in closed form when no other drawn
+    disc's box overlaps theirs; otherwise only the box around them is
+    rasterised, for the nearest-disc tie-break.
     """
     code = color.value
     if frame.discs is None:
-        row0 = col0 = 0
-        region = frame.labels
+        moments = _label_moments(frame.labels, code, 0, 0)
     else:
-        boxes = [d.box for d in frame.discs if d.code == code]
-        if not boxes:
+        watched = [d for d in frame.discs if d.code == code]
+        if not watched:
             return None
-        row0, row1 = min(b[0] for b in boxes), max(b[1] for b in boxes)
-        col0, col1 = min(b[2] for b in boxes), max(b[3] for b in boxes)
-        region = _raster(frame.discs, (row0, row1, col0, col1))
-    rows, cols = np.nonzero(region == np.uint8(code))
-    count = int(rows.size)
+        if any(_overlap(w.box, d.box) for w in watched for d in frame.discs if d is not w):
+            row0, row1 = min(d.box[0] for d in watched), max(d.box[1] for d in watched)
+            col0, col1 = min(d.box[2] for d in watched), max(d.box[3] for d in watched)
+            region = _raster(frame.discs, (row0, row1, col0, col1))
+            moments = _label_moments(region, code, row0, col0)
+        else:
+            moments = [sum(m) for m in zip(*map(_moments, watched))]
+    count, sum_rows, sum_cols = moments
     if count == 0 or count < min_blob_size:
         return None
     # exact integer sums in frame coordinates, then a single division
-    cx = (int(cols.sum()) + count * col0) / count
-    cy = (int(rows.sum()) + count * row0) / count
-    return Detection(color, PixelPoint(cx, cy), count)
+    return Detection(color, PixelPoint(sum_cols / count, sum_rows / count), count)
 
 
 def write_ppm(frame: Frame, path: str | Path) -> None:

@@ -202,3 +202,12 @@ def test_run_rejects_non_finite_start_and_waypoints(tmp_path, capsys, key, value
     assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     assert f"{key} must be a finite [x, y] pair" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_rejects_tick_budget_overrun_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path, timeout_s=1e6)   # 10^7 ticks at dt 0.1
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "timeout_s 1000000.0 at dt 0.1" in err and "budget" in err
+    assert not out.exists()

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from visnav import (FrameSpec, GroundedError, PixelPoint, Pose, ground_footprint,
-                    in_frame, project)
+from visnav import (Color, FrameSpec, GroundedError, Marker, PixelPoint, Pose, ground_footprint,
+                    in_frame, project, render)
 
 DEFAULT = FrameSpec()
 
@@ -142,3 +144,56 @@ def test_ground_footprint_default_setup():
     assert half_h == pytest.approx(0.5625)
     with pytest.raises(GroundedError):
         ground_footprint(DEFAULT, 0.0)
+
+
+def reference_projection(drone, point, frame, height):
+    """The pinhole map written out: body offset (forward, right), then
+    pixels = center + focal_length / depth * (right, -forward)."""
+    dx, dy = point[0] - drone.x, point[1] - drone.y
+    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
+    forward, right = c * dx + s * dy, s * dx - c * dy
+    scale = frame.focal_length / (drone.z - height)
+    return frame.width / 2.0 + scale * right, frame.height / 2.0 - scale * forward
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.02, 5.0), st.floats(-7.0, 7.0),
+       st.lists(st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(0.0, 0.95)),
+                min_size=1, max_size=6))
+def test_render_disc_centers_equal_project_bit_exactly(x, y, z, yaw, offsets):
+    # one marker per color near the drone, raised up to 0.95 of its altitude
+    # except the first, which is on the ground and always in view
+    drone = Pose(x, y, z, yaw)
+    markers = [Marker((x + fx * z, y + fy * z), 0.05 * z, color, h * z * (i > 0))
+               for i, ((fx, fy, h), color) in enumerate(zip(offsets, Color))]
+    frame = render(drone, markers, DEFAULT)
+    drawn = {d.code: d for d in frame.discs}
+    assert drawn
+    for m in markers:
+        p = project(drone, m.position, DEFAULT, m.height)
+        assert (p.x, p.y) == reference_projection(drone, m.position, DEFAULT, m.height)
+        if m.color.value in drawn:
+            disc = drawn[m.color.value]
+            assert (disc.center.x, disc.center.y) == (p.x, p.y)
+            assert disc.radius == DEFAULT.focal_length / (z - m.height) * m.radius
+
+
+def test_render_raises_grounded_at_or_below_a_raised_marker():
+    pad = Marker((0.0, 0.0), 0.1, Color.BLUE, 0.3)
+    far = Marker((50.0, 0.0), 0.1, Color.PINK)     # out of view, on the ground
+    for z in (0.3, 0.2):
+        with pytest.raises(GroundedError):
+            render(Pose(0.0, 0.0, z, 0.0), [far, pad], DEFAULT)
+        with pytest.raises(GroundedError):
+            project(Pose(0.0, 0.0, z, 0.0), pad.position, DEFAULT, pad.height)
+    assert render(Pose(0.0, 0.0, 0.31, 0.0), [far, pad], DEFAULT).discs
+
+
+def test_render_rejects_non_finite_projected_center():
+    # finite inputs whose offset overflows, and an altitude so small that
+    # the scale overflows
+    cases = [(Pose(-1e308, 0.0, 1.0, 0.0), Marker((1e308, 0.0), 0.1, Color.PINK)),
+             (Pose(0.0, 0.0, 5e-324, 0.0), Marker((0.0, 0.0), 0.1, Color.PINK))]
+    for drone, marker in cases:
+        with pytest.raises(ValueError, match="finite"):
+            render(drone, [marker], DEFAULT)

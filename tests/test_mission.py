@@ -1,5 +1,6 @@
 """Mission FSM behavior for the four task kinds."""
 
+import dataclasses
 import json
 import math
 
@@ -196,6 +197,27 @@ def test_mission_spec_validation():
         MissionSpec(MissionKind.FORWARD_SEARCH_HOVER)   # no trajectory
     with pytest.raises(ScenarioError):
         MissionSpec(MissionKind.TRACK_VISIBLE, timeout=0.0)
+
+
+def test_tick_budget_is_checked_where_spec_and_config_meet():
+    from visnav.mission import MAX_MISSION_TICKS, build_scenario
+    # timeout_s / dt exactly at the budget passes, one tick over it fails
+    at_budget = MAX_MISSION_TICKS * 0.5
+    assert build_scenario({"task": "return", "timeout_s": at_budget,
+                           "sim": {"dt": 0.5}}).spec.timeout == at_budget
+    for config in ({"task": "return", "timeout_s": at_budget + 0.5, "sim": {"dt": 0.5}},
+                   {"task": "forward", "sim": {"dt": 1e-5}},
+                   {"task": "track", "sim": {"dt": 5e-324}}):
+        with pytest.raises(ScenarioError, match=r"timeout_s .* at dt .* ticks"):
+            build_scenario(config)
+    # a scenario assembled in code meets the same check before any Campaign
+    from visnav import Campaign
+    sc = zero_noise_scenario("forward")
+    long_spec = dataclasses.replace(sc.spec, timeout=MAX_MISSION_TICKS * sc.cfg.dt * 2)
+    with pytest.raises(ScenarioError, match="budget"):
+        Campaign(dataclasses.replace(sc, spec=long_spec))
+    with pytest.raises(ScenarioError, match="budget"):
+        Scenario(long_spec, sc.cfg)
 
 
 def test_default_scenario_rejects_unknown_task():

@@ -1,6 +1,7 @@
 """Rendering and blob detection over synthetic label frames."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visnav import (Color, Frame, FrameSpec, GroundedError, Marker, Pose, detect,
-                    frame_filename, project, render, write_ppm)
+                    frame_filename, perception, project, render, write_ppm)
 
 DEFAULT = FrameSpec()
 HOVER = Pose(0.0, 0.0, 1.0, 0.0)
@@ -214,13 +215,13 @@ def test_marker_height_validation():
 
 
 # Scenes of 1-6 discs placed in units of the ground footprint, so they
-# overlap, repeat colors and cross the frame edges; some sit raised at 0.4
-# of the altitude: (altitude, yaw, [(fx, fy, radius, color, height), ...]).
-SCENES = st.tuples(
-    st.floats(0.2, 2.0), st.floats(-math.pi, math.pi),
-    st.lists(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3), st.floats(0.02, 0.6),
-                       st.sampled_from(list(Color)), st.sampled_from([0.0, 0.0, 0.4])),
-             min_size=1, max_size=6))
+# overlap, repeat colors and cross the frame edges; altitudes go down to the
+# last landing ticks and radii up to discs that fill the frame; some sit
+# raised at 0.4 of the altitude: (altitude, yaw, [(fx, fy, radius, color, height), ...]).
+DISC = st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3), st.floats(0.02, 3.0),
+                 st.sampled_from(list(Color)), st.sampled_from([0.0, 0.0, 0.4]))
+SCENES = st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
+                   st.lists(DISC, min_size=1, max_size=6))
 
 
 def _build(scene, spec):
@@ -243,6 +244,79 @@ def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
     for color in Color:
         for size in (1, 10):
             assert detect(frame, color, size) == detect(full, color, size)
+
+
+def _detect_all(frame, spec):
+    """detect on a rendered frame for every color and blob size, paired with
+    detect on its full label grid, and the number of _raster calls the
+    rendered frame's detects made."""
+    full = Frame(spec, frame.labels)
+    with mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
+        got = [detect(frame, color, size) for color in Color for size in (1, 10)]
+    want = [detect(full, color, size) for color in Color for size in (1, 10)]
+    return got, want, raster.call_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
+                 st.lists(DISC, min_size=1, max_size=1)))
+def test_isolated_disc_moments_match_full_grid_without_raster(scene):
+    drone, markers = _build(scene, DEFAULT)
+    got, want, raster_calls = _detect_all(render(drone, markers, DEFAULT), DEFAULT)
+    assert got == want
+    assert raster_calls == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCENES, st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.sampled_from(list(Color)))
+def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):
+    # one more disc, centered inside the first one
+    z, yaw, raw = scene
+    fx, fy, r, _, h = raw[0]
+    aspect = DEFAULT.height / DEFAULT.width     # footprint units: fx in half widths
+    extra = (fx + rho * r * math.cos(angle) * aspect, fy + rho * r * math.sin(angle), r, color, h)
+    drone, markers = _build((z, yaw, raw + [extra]), DEFAULT)
+    frame = render(drone, markers, DEFAULT)
+    got, want, raster_calls = _detect_all(frame, DEFAULT)
+    assert got == want
+    boxes = [d.box for d in frame.discs]
+    if any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+           for i, a in enumerate(boxes) for b in boxes[i + 1:]):
+        assert raster_calls > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi), st.floats(1.0, 15.0),
+       st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.floats(-0.05, 0.05))
+def test_far_centered_disc_matches_full_grid(z, yaw, log_distance, angle, u, v, slack):
+    # a disc centered 10 to 10**15 footprints away whose rim passes near
+    # the frame point (u, v), in units of the half footprint
+    half_w = z * DEFAULT.width / 2 / DEFAULT.focal_length
+    half_h = z * DEFAULT.height / 2 / DEFAULT.focal_length
+    distance = 10.0 ** log_distance * half_w
+    rim = (v * half_h, u * half_w)
+    center = (rim[0] + distance * math.cos(angle), rim[1] + distance * math.sin(angle))
+    radius = math.hypot(center[0] - rim[0], center[1] - rim[1]) + slack * half_w
+    drone = Pose(0.0, 0.0, z, yaw)
+    frame = render(drone, [Marker(center, radius, Color.PINK)], DEFAULT)
+    got, want, raster_calls = _detect_all(frame, DEFAULT)
+    assert got == want
+    assert raster_calls == 0
+
+
+@pytest.mark.parametrize("z", [0.3, 0.1, 0.05])
+def test_landing_pad_centroid_matches_brute_force(z):
+    # the 0.1 m home pad under a landing vehicle, slightly off center and
+    # yawed: at 0.1 m it reaches the frame edges, at 0.05 m it covers them all
+    drone = Pose(0.004, -0.003, z, 0.2)
+    frame = render(drone, [Marker((0.0, 0.0), 0.1, Color.BLUE)], DEFAULT)
+    n, cx, cy = brute_force_centroid(frame.labels, Color.BLUE.value)
+    det = detect(frame, Color.BLUE)
+    assert det is not None
+    assert (det.pixel_count, det.center.x, det.center.y) == (n, cx, cy)
+    if z == 0.05:
+        assert n == DEFAULT.width * DEFAULT.height
 
 
 def nearest_disc_oracle(drone, markers, spec):
