@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .harness import (Campaign, MalformedLogError, format_summary, load_trajectory,
                       path_spread, read_results_csv, run_campaign, summarize_results)
-from .mission import ScenarioError, default_scenario, load_scenario
+from .mission import MissionKind, ScenarioError, default_scenario, load_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a seeded mission campaign")
-    p_run.add_argument("--task", choices=["track", "forward", "return", "coordination"],
+    p_run.add_argument("--task", choices=[k.value for k in MissionKind],
                        help="built-in scenario (ignored when --config names one)")
     p_run.add_argument("--trials", type=int, default=None,
                        help="trial count (default: config value, else 20)")

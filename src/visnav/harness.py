@@ -147,16 +147,21 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
                              r.ticks, repr(r.final_pose.x), repr(r.final_pose.y)])
 
 
+def _read_csv(path: str | Path, columns: Sequence[str], what: str) -> list[dict]:
+    """Rows of a CSV file as dicts; raises MalformedLogError when the header
+    lacks any of ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(columns) - set(reader.fieldnames or [])
+        if missing:
+            raise MalformedLogError(f"{what} file missing columns: {sorted(missing)}")
+        return list(reader)
+
+
 def read_results_csv(path: str | Path) -> list[dict]:
     """Rows of a results.csv as dicts; raises MalformedLogError when the
     header lacks required columns."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = set(reader.fieldnames or [])
-        missing = set(RESULTS_COLUMNS) - header
-        if missing:
-            raise MalformedLogError(f"results file missing columns: {sorted(missing)}")
-        return list(reader)
+    return _read_csv(path, RESULTS_COLUMNS, "results")
 
 
 def summarize_results(rows: Sequence[dict]) -> CampaignStats:
@@ -170,27 +175,18 @@ def load_trajectory(path: str | Path) -> list[TrajectoryRow]:
     Raises MalformedLogError when the header is missing any canonical
     column.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = set(reader.fieldnames or [])
-        missing = set(TRAJECTORY_COLUMNS) - header
-        if missing:
-            raise MalformedLogError(f"trajectory file missing columns: {sorted(missing)}")
-        rows = []
-        for raw in reader:
-            rows.append(TrajectoryRow(
-                step=int(raw["step"]),
-                time_s=float(raw["time_s"]),
-                drone_x=float(raw["drone_x"]),
-                drone_y=float(raw["drone_y"]),
-                drone_z=float(raw["drone_z"]),
-                vel_fwd=float(raw["vel_fwd"]),
-                vel_right=float(raw["vel_right"]),
-                fsm_state=raw["fsm_state"],
-                detected_color=raw["detected_color"],
-                err_px=float(raw["err_px"]) if raw["err_px"] != "" else None,
-            ))
-    return rows
+    return [TrajectoryRow(
+        step=int(raw["step"]),
+        time_s=float(raw["time_s"]),
+        drone_x=float(raw["drone_x"]),
+        drone_y=float(raw["drone_y"]),
+        drone_z=float(raw["drone_z"]),
+        vel_fwd=float(raw["vel_fwd"]),
+        vel_right=float(raw["vel_right"]),
+        fsm_state=raw["fsm_state"],
+        detected_color=raw["detected_color"],
+        err_px=float(raw["err_px"]) if raw["err_px"] != "" else None,
+    ) for raw in _read_csv(path, TRAJECTORY_COLUMNS, "trajectory")]
 
 
 def path_spread(rows: Sequence[TrajectoryRow]) -> float:

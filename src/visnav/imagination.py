@@ -110,9 +110,6 @@ class MotionLog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
 
 def offset_target(frame: FrameSpec, dx: float, dy: float) -> PixelPoint:
     """Imagined target displaced (dx, dy) pixels from the image center."""

@@ -121,7 +121,6 @@ class MissionState:
 
     phase: Phase
     segment_index: int = 0
-    servo_color: Optional[Color] = None
     fail_reason: Optional[str] = None
     log: MotionLog = field(default_factory=MotionLog)
     elapsed: float = 0.0
@@ -135,7 +134,6 @@ class MissionState:
     lost_ticks: int = 0
     reversal: Optional[ImaginedTrajectory] = None
     # outputs of the latest tick, consumed by run()
-    climb_rate: float = 0.0
     last_detected: Optional[Color] = None
     last_err: Optional[float] = None
     last_frame: Optional[Frame] = None
@@ -144,12 +142,18 @@ class MissionState:
     def done(self) -> bool:
         return self.succeeded or self.phase in (Phase.LANDED, Phase.FAILED)
 
-    def label(self) -> str:
+    def climb_rate(self, cfg: SimConfig) -> float:
+        """Vertical speed of the step after a tick that ends in this phase."""
+        if self.phase is Phase.TAKING_OFF:
+            return cfg.climb_rate
+        return -cfg.descent_rate if self.phase is Phase.LANDING else 0.0
+
+    def label(self, spec: MissionSpec) -> str:
         """Canonical state string used in trajectory logs."""
         if self.phase is Phase.SEARCHING or self.phase is Phase.REVERSING:
             return f"{self.phase.value}:{self.segment_index}"
-        if self.phase is Phase.SERVOING and self.servo_color is not None:
-            return f"{self.phase.value}:{self.servo_color.name.lower()}"
+        if self.phase is Phase.SERVOING:
+            return f"{self.phase.value}:{spec.search_color.name.lower()}"
         if self.phase is Phase.FAILED and self.fail_reason:
             return f"{self.phase.value}:{self.fail_reason}"
         return self.phase.value
@@ -159,11 +163,12 @@ def initial_state(spec: MissionSpec) -> MissionState:
     """TRACK_VISIBLE starts airborne and servoing; the rest start on the
     carrier and take off first."""
     if spec.kind is MissionKind.TRACK_VISIBLE:
-        return MissionState(phase=Phase.SERVOING, servo_color=spec.search_color)
+        return MissionState(phase=Phase.SERVOING)
     return MissionState(phase=Phase.ON_CARRIER)
 
 
-#: Phases whose moving commands make up the outbound motion log.
+#: Phases that watch the search color (the rest watch the home color) and
+#: whose moving commands make up the outbound motion log.
 _OUTBOUND_PHASES = (Phase.SEARCHING, Phase.SERVOING, Phase.HOVERING_ON_TARGET)
 
 #: What a tick steers on and the command it produced; no target means hold.
@@ -236,14 +241,13 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
     The drone pose in ``world`` is touched only at liftoff (takeoff
     jitter) and when snapping altitude at the top of the climb and at
     touchdown; all other motion goes through sim.step, driven by the
-    returned command and state.climb_rate.
+    returned command and state.climb_rate(cfg).
 
     Raises AbsorbingStateError when called after Landed or Failed.
     """
     if state.phase in (Phase.LANDED, Phase.FAILED):
         raise AbsorbingStateError(f"mission already {state.phase.value}")
 
-    state.climb_rate = 0.0
     state.last_detected = state.last_err = state.last_frame = None
     sigma = cfg.noise.takeoff_jitter_std
     if state.ticks == 0 and sigma > 0:
@@ -251,8 +255,7 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
         world.drone = replace(world.drone, x=world.drone.x + jx, y=world.drone.y + jy)
 
     target, cmd = _act(state, spec, world, cfg)
-    if state.phase in _OUTBOUND_PHASES and not cmd.hovering \
-            and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
+    if state.phase in _OUTBOUND_PHASES and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
         state.log.append(state.elapsed, cmd, cfg.dt, target)
 
     state.ticks += 1
@@ -270,7 +273,6 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
     if phase is Phase.ON_CARRIER or (
             phase is Phase.TAKING_OFF and world.drone.z < cfg.altitude - _ALTITUDE_EPS):
         state.phase = Phase.TAKING_OFF
-        state.climb_rate = cfg.climb_rate
         return None, ZERO_COMMAND
     if phase is Phase.TAKING_OFF:
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
@@ -293,18 +295,11 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
         return None, ZERO_COMMAND
 
     # look for the one color this phase cares about
-    if phase is Phase.SEARCHING:
-        watched = spec.search_color
-    elif phase is Phase.SERVOING or phase is Phase.HOVERING_ON_TARGET:
-        watched = state.servo_color
-    else:
-        watched = spec.home_color
+    watched = spec.search_color if phase in _OUTBOUND_PHASES else spec.home_color
     frame = state.last_frame = capture(world, cfg)
     det = detect(frame, watched, cfg.min_blob_size)
     if phase is Phase.HOVERING_ON_TARGET:
         state.hover_elapsed += cfg.dt
-    elif phase is Phase.LANDING:
-        state.climb_rate = -cfg.descent_rate
     if det is None:
         return _on_miss(state, spec, world, frame, cfg)
     return _on_hit(state, det, cfg)
@@ -344,7 +339,6 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     cmd = _steer(state, det.center, gains, cfg)
     if phase is Phase.SEARCHING:
         state.phase = Phase.SERVOING
-        state.servo_color = det.color
         state.lost_ticks = 0
     elif phase is Phase.SERVOING:
         state.lost_ticks = 0
@@ -358,7 +352,6 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
         state.land_streak = state.land_streak + 1 if cmd.hovering else 0
         if state.land_streak >= LAND_DWELL_TICKS:
             state.phase = Phase.LANDING
-            state.climb_rate = -cfg.descent_rate
     return det.center, cmd
 
 
@@ -393,7 +386,7 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
             drone_z=world.drone.z,
             vel_fwd=cmd.vel_forward,
             vel_right=cmd.vel_right,
-            fsm_state=state.label(),
+            fsm_state=state.label(spec),
             detected_color=state.last_detected.name.lower() if state.last_detected else "",
             err_px=state.last_err,
         ))
@@ -401,7 +394,7 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
             frame_sink(world.steps, state.last_frame)
         if state.done:
             break
-        step(world, cmd, cfg, vz=state.climb_rate)
+        step(world, cmd, cfg, vz=state.climb_rate(cfg))
     outcome = "success" if state.succeeded else f"failed:{state.fail_reason}"
     return MissionResult(
         success=state.succeeded,
@@ -512,24 +505,16 @@ def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
     return:       as forward, then retrace and land on the home pad.
     coordination: as return, taking off from and landing on the carrier.
     """
+    try:
+        kind = MissionKind(task)
+    except ValueError:
+        raise ScenarioError(f"unknown task {task!r} (expected "
+                            + "|".join(k.value for k in MissionKind) + ")") from None
     cfg = SimConfig() if noise is None else SimConfig(noise=noise)
-    pink_ahead = Marker((2.0, 0.0), 0.06, Color.PINK)
-    if task == "track":
-        spec = MissionSpec(MissionKind.TRACK_VISIBLE)
-        return Scenario(spec, cfg, markers=(Marker((0.3, 0.2), 0.06, Color.PINK),))
-    if task == "forward":
-        spec = MissionSpec(MissionKind.FORWARD_SEARCH_HOVER,
-                           trajectory=forward_search_trajectory(cfg.frame, Color.PINK))
-        return Scenario(spec, cfg, markers=(pink_ahead,))
-    if task == "return":
-        spec = MissionSpec(MissionKind.SEARCH_RETURN_LAND,
-                           trajectory=forward_search_trajectory(cfg.frame, Color.PINK))
-        return Scenario(spec, cfg, markers=(pink_ahead,))
-    if task == "coordination":
-        spec = MissionSpec(MissionKind.CARRIER_COORDINATION,
-                           trajectory=forward_search_trajectory(cfg.frame, Color.PINK))
-        return Scenario(spec, cfg, markers=(pink_ahead,))
-    raise ScenarioError(f"unknown task {task!r} (expected track|forward|return|coordination)")
+    if kind is MissionKind.TRACK_VISIBLE:
+        return Scenario(MissionSpec(kind), cfg, markers=(Marker((0.3, 0.2), 0.06, Color.PINK),))
+    spec = MissionSpec(kind, trajectory=forward_search_trajectory(cfg.frame, Color.PINK))
+    return Scenario(spec, cfg, markers=(Marker((2.0, 0.0), 0.06, Color.PINK),))
 
 
 def _parse_color(name: str) -> Color:

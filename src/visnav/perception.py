@@ -66,8 +66,8 @@ class Marker:
 
     def __post_init__(self) -> None:
         _require_finite("marker position", *self.position)
-        if not self.radius > 0:
-            raise ValueError("marker radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("marker radius must be positive and finite")
         if not 0 <= self.height < math.inf:
             raise ValueError("marker height must be finite and >= 0")
 
@@ -91,21 +91,16 @@ def _raster(discs: Sequence[_Disc], window: tuple[int, int, int, int]) -> np.nda
     parts = [(d, max(d.box[0], wr0), min(d.box[1], wr1), max(d.box[2], wc0), min(d.box[3], wc1))
              for d in discs]
     parts = [p for p in parts if p[1] < p[2] and p[3] < p[4]]
-    # the nearest-disc tie-break needs a distance map only where discs can overlap
-    best_d2 = np.full(labels.shape, np.inf) if len(parts) > 1 else None
+    best_d2 = np.full(labels.shape, np.inf)
     for disc, r0, r1, c0, c1 in parts:
         xs = np.arange(c0, c1, dtype=np.float64) - disc.center.x
         ys = np.arange(r0, r1, dtype=np.float64) - disc.center.y
         d2 = xs[None, :] ** 2 + ys[:, None] ** 2
-        covered = d2 <= disc.radius * disc.radius
         cut = (slice(r0 - wr0, r1 - wr0), slice(c0 - wc0, c1 - wc0))
-        if best_d2 is None:
-            labels[cut][covered] = disc.code
-        else:
-            best = best_d2[cut]
-            win = covered & (d2 < best)
-            best[win] = d2[win]
-            labels[cut][win] = disc.code
+        best = best_d2[cut]
+        win = (d2 <= disc.radius * disc.radius) & (d2 < best)
+        best[win] = d2[win]
+        labels[cut][win] = disc.code
     return labels
 
 
@@ -188,7 +183,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     pixel radius = focal_length * radius / (drone.z - marker.height).
 
     Raises GroundedError when the camera is not above every marker, and
-    ValueError when a marker's projected center is not finite.
+    ValueError when a marker's projected center is not finite or its
+    pixel radius is too large for the raster's squared-distance test.
     """
     if drone.z <= 0:
         raise GroundedError("cannot render with the camera on the ground")
@@ -199,6 +195,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
         pr = scale * marker.radius
+        if not math.isfinite(pr * pr):
+            raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
         col0 = max(0, math.ceil(x - pr))
         col1 = min(w, math.floor(x + pr) + 1)
         row0 = max(0, math.ceil(y - pr))

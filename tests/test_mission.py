@@ -94,7 +94,7 @@ def test_tick_after_landed_raises():
         if state.done:
             break
         from visnav import step
-        step(world, cmd, sc.cfg, vz=state.climb_rate)
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     assert state.phase is Phase.LANDED
     with pytest.raises(AbsorbingStateError):
         tick(state, sc.spec, world, sc.cfg)
@@ -169,14 +169,14 @@ def test_lost_detection_reverts_to_search_segment():
         state, cmd = tick(state, sc.spec, world, sc.cfg)
         if state.phase is Phase.SERVOING:
             break
-        step(world, cmd, sc.cfg, vz=state.climb_rate)
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     assert state.phase is Phase.SERVOING
     world.markers = ()   # the marker disappears mid-servo
     transitions = []
     for _ in range(12):  # LOST_PATIENCE_TICKS dropouts, then reversion
         state, cmd = tick(state, sc.spec, world, sc.cfg)
         transitions.append(state.phase)
-        step(world, cmd, sc.cfg, vz=state.climb_rate)
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     assert transitions[-1] is Phase.SEARCHING
     assert Phase.SERVOING in transitions[:-1]
 
@@ -186,6 +186,37 @@ def test_takeoff_reaches_exact_altitude():
     result = run(sc.spec, sc.make_world(0), sc.cfg)
     search_rows = [r for r in result.rows if r.fsm_state.startswith("searching")]
     assert all(r.drone_z == sc.cfg.altitude for r in search_rows)
+
+
+@pytest.mark.parametrize("task, sim", [("return", {}),
+                                       ("coordination", {"carrier_height": 0.3})])
+def test_altitude_moves_only_in_climb_and_descent_phases(task, sim):
+    from visnav.mission import build_scenario
+    sc = build_scenario({"task": task, "sim": {
+        **sim, "noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+    cfg = sc.cfg
+    result = run(sc.spec, sc.make_world(0), cfg)
+    assert result.success
+    climbs = descents = 0
+    for a, b in zip(result.rows, result.rows[1:]):
+        phase, dz = a.fsm_state.split(":", 1)[0], b.drone_z - a.drone_z
+        if phase == "taking_off" and b.fsm_state.startswith("searching"):
+            # top of climb: snapped to the cruise altitude
+            assert b.drone_z == cfg.altitude and 0.0 <= dz <= cfg.climb_rate * cfg.dt
+        elif phase == "taking_off":
+            assert b.drone_z == a.drone_z + cfg.climb_rate * cfg.dt
+            climbs += 1
+        elif phase == "landing" and b.fsm_state == "landed":
+            # touchdown: snapped onto the pad
+            assert b.drone_z == cfg.carrier_height
+            assert 0.0 <= -dz <= cfg.descent_rate * cfg.dt + 1e-9
+        elif phase == "landing":
+            assert b.drone_z == a.drone_z - cfg.descent_rate * cfg.dt
+            descents += 1
+        else:
+            assert dz == 0.0, (a, b)
+    assert climbs > 0 and descents > 0
+    assert result.rows[0].drone_z == result.rows[-1].drone_z == cfg.carrier_height
 
 
 def test_mission_spec_validation():
@@ -306,8 +337,8 @@ def test_exhausted_return_replay_holds_until_timeout():
     rows = []
     while not state.done:
         state, cmd = tick(state, sc.spec, world, sc.cfg)
-        rows.append((state.label(), cmd))
-        step(world, cmd, sc.cfg, vz=state.climb_rate)
+        rows.append((state.label(sc.spec), cmd))
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     n = len(state.reversal.segments)
     held = f"reversing:{n}"
     first = [label for label, _ in rows].index(held)

@@ -204,8 +204,9 @@ def test_write_ppm_format_and_determinism(tmp_path):
 
 
 def test_marker_radius_validation():
-    with pytest.raises(ValueError):
-        Marker((0, 0), 0.0, Color.PINK)
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Marker((0, 0), bad, Color.PINK)
 
 
 def test_marker_height_validation():
