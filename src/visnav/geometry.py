@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -67,7 +68,7 @@ class FrameSpec:
         if not self.focal_length > 0:
             raise ValueError("focal_length must be positive")
 
-    @property
+    @cached_property
     def center(self) -> PixelPoint:
         """The vehicle's own position in image coordinates."""
         return PixelPoint(self.width / 2.0, self.height / 2.0)

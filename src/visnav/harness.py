@@ -11,6 +11,7 @@ trials), so outputs are bit-identical across repeated runs.
 from __future__ import annotations
 
 import csv
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -108,32 +109,47 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
 
     Failures are counted and reported but excluded from the time
     statistics.  With ``out_dir`` set, writes results.csv, summary.txt and
-    trajectory_{trial}.csv per trial; ``dump_frames`` additionally saves
-    every captured frame under trial_{trial}/ as PPM files.
+    trajectory_{trial}.csv per trial once every trial has run;
+    ``dump_frames`` additionally saves every captured frame under
+    trial_{trial}/ as PPM files, creating that directory at its first
+    frame.  When a trial or a write raises, every directory this call
+    created is removed, with what was written into it, before the error
+    propagates.
     """
     out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    created: list[Path] = []  # outermost first
 
-    records: list[TrialRecord] = []
-    for trial in range(campaign.trials):
-        seed = campaign.seed_for(trial)
-        world = campaign.scenario.make_world(seed)
-        sink = None
-        if dump_frames and out_path is not None:
-            frame_dir = out_path / f"trial_{trial}"
-            frame_dir.mkdir(exist_ok=True)
-            sink = lambda step, frame, d=frame_dir: write_ppm(frame, d / frame_filename(step))
-        result = run(campaign.scenario.spec, world, campaign.scenario.cfg,
-                     frame_sink=sink)
-        records.append(TrialRecord(trial, seed, result))
+    def make_dirs(path: Path) -> None:
+        if not path.is_dir():
+            make_dirs(path.parent)
+            path.mkdir()
+            created.append(path)
+
+    try:
+        records: list[TrialRecord] = []
+        for trial in range(campaign.trials):
+            seed = campaign.seed_for(trial)
+            world = campaign.scenario.make_world(seed)
+            sink = None
+            if dump_frames and out_path is not None:
+                def sink(step: int, frame, d: Path = out_path / f"trial_{trial}") -> None:
+                    make_dirs(d)
+                    write_ppm(frame, d / frame_filename(step))
+            result = run(campaign.scenario.spec, world, campaign.scenario.cfg,
+                         frame_sink=sink)
+            records.append(TrialRecord(trial, seed, result))
+
+        stats = _aggregate([r.result.elapsed_s for r in records if r.result.success], records)
         if out_path is not None:
-            write_trajectory_csv(result.rows, out_path / f"trajectory_{trial}.csv")
-
-    stats = _aggregate([r.result.elapsed_s for r in records if r.result.success], records)
-    if out_path is not None:
-        write_results_csv(records, out_path / "results.csv")
-        (out_path / "summary.txt").write_text(format_summary(stats, campaign.trials))
+            make_dirs(out_path)
+            for rec in records:
+                write_trajectory_csv(rec.result.rows, out_path / f"trajectory_{rec.trial}.csv")
+            write_results_csv(records, out_path / "results.csv")
+            (out_path / "summary.txt").write_text(format_summary(stats, campaign.trials))
+    except BaseException:
+        for path in created:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     return stats
 
 

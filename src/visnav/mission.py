@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -181,12 +182,35 @@ def _fail(state: MissionState, reason: str) -> _Action:
     return None, ZERO_COMMAND
 
 
+def _command(target: PixelPoint, gains: ControllerGains,
+             frame: FrameSpec) -> tuple[float, VelocityCommand]:
+    """(error norm, command) of a proportional step towards ``target``."""
+    err = pixel_error(target, frame.center)
+    return err.norm(), compute_command(err, gains)
+
+
+#: An imagined target keeps its offset from the frame center, so its error
+#: norm and command are constants of these frozen inputs.
+_imagined_command = lru_cache(maxsize=256)(_command)
+
+
 def _steer(state: MissionState, target: PixelPoint, gains: ControllerGains,
            cfg: SimConfig) -> VelocityCommand:
-    """Proportional command towards a blob centroid or an imagined target."""
-    err = pixel_error(target, cfg.frame.center)
-    state.last_err = err.norm()
-    return compute_command(err, gains)
+    """Proportional command towards a blob centroid."""
+    state.last_err, cmd = _command(target, gains, cfg.frame)
+    return cmd
+
+
+def _fly(state: MissionState, target: PixelPoint, cfg: SimConfig) -> VelocityCommand:
+    """Proportional command towards an imagined target."""
+    state.last_err, cmd = _imagined_command(target, cfg.gains, cfg.frame)
+    return cmd
+
+
+@lru_cache(maxsize=16)
+def _landing_gains(gains: ControllerGains) -> ControllerGains:
+    """The gains with the centering tolerance that arms the descent."""
+    return replace(gains, hover_threshold=LAND_THRESHOLD_PX)
 
 
 def _enter_segment(state: MissionState, index: int, world: WorldState) -> None:
@@ -201,15 +225,17 @@ def _start_leg(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
     _enter_segment(state, 0, world)
     state.segment_elapsed += cfg.dt
     target = traj.segments[0].target
-    return target, _steer(state, target, cfg.gains, cfg)
+    return target, _fly(state, target, cfg)
 
 
-def _segment_expired(state: MissionState, seg: ImaginedSegment,
-                     world: WorldState, frame: Frame, cfg: SimConfig) -> bool:
-    """Evaluate the segment's own termination rule."""
+def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldState,
+                     frame: Frame, absent: Color, cfg: SimConfig) -> bool:
+    """Evaluate the segment's own termination rule; ``absent`` is the color
+    this tick has already failed to detect in ``frame``."""
     rule = seg.terminate_on
     if isinstance(rule, MarkerDetected):
-        return detect(frame, rule.color, cfg.min_blob_size) is not None
+        return rule.color is not absent and \
+            detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
         return state.segment_elapsed >= rule.seconds - 1e-9
     if isinstance(rule, Distance):
@@ -220,13 +246,13 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment,
 
 
 def _follow(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
-            frame: Frame, cfg: SimConfig) -> Optional[PixelPoint]:
+            frame: Frame, absent: Color, cfg: SimConfig) -> Optional[PixelPoint]:
     """Target of the segment to fly this tick, moving on to the next one
     once the current segment has expired.  None once the last segment has
     expired; segment_index then stays one past the end."""
     segments = traj.segments
     i = state.segment_index
-    if i < len(segments) and _segment_expired(state, segments[i], world, frame, cfg):
+    if i < len(segments) and _segment_expired(state, segments[i], world, frame, absent, cfg):
         _enter_segment(state, i + 1, world)
     if state.segment_index == len(segments):
         return None
@@ -301,19 +327,19 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
     if phase is Phase.HOVERING_ON_TARGET:
         state.hover_elapsed += cfg.dt
     if det is None:
-        return _on_miss(state, spec, world, frame, cfg)
+        return _on_miss(state, spec, world, frame, watched, cfg)
     return _on_hit(state, det, cfg)
 
 
 def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: Frame,
-             cfg: SimConfig) -> _Action:
+             watched: Color, cfg: SimConfig) -> _Action:
     """Nothing of the watched color in view: fly the current leg or hold."""
     phase = state.phase
     if phase is Phase.SEARCHING or phase is Phase.REVERSING:
         leg = spec.trajectory if phase is Phase.SEARCHING else state.reversal
-        target = _follow(state, leg, world, frame, cfg)
+        target = _follow(state, leg, world, frame, watched, cfg)
         if target is not None:
-            return target, _steer(state, target, cfg.gains, cfg)
+            return target, _fly(state, target, cfg)
         if phase is Phase.SEARCHING:
             return _fail(state, "search_exhausted")
         # an exhausted replay holds and keeps scanning for home
@@ -333,9 +359,8 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     """Servo on the detected blob and take the phase change it earns."""
     phase = state.phase
     state.last_detected = det.color
-    gains = cfg.gains
-    if phase is Phase.SERVOING_HOME or phase is Phase.LANDING:
-        gains = replace(gains, hover_threshold=LAND_THRESHOLD_PX)
+    landing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
+    gains = _landing_gains(cfg.gains) if landing else cfg.gains
     cmd = _steer(state, det.center, gains, cfg)
     if phase is Phase.SEARCHING:
         state.phase = Phase.SERVOING
@@ -418,8 +443,7 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
     for seg in traj.segments:
         if not isinstance(seg.terminate_on, Duration):
             raise ValueError("fly_trajectory handles Duration-terminated segments only")
-        err = pixel_error(seg.target, cfg.frame.center)
-        cmd = compute_command(err, cfg.gains)
+        _, cmd = _imagined_command(seg.target, cfg.gains, cfg.frame)
         n_steps = max(1, round(seg.terminate_on.seconds / cfg.dt))
         start_time = world.time
         for _ in range(n_steps):
@@ -562,6 +586,18 @@ def _finite_pair(key: str, value) -> tuple[float, float]:
     return pair
 
 
+def _config_int(data: dict, key: str) -> Optional[int]:
+    """An optional config integer, None when absent.  Any other JSON value
+    (a float, bool, string or null) is rejected, naming its key, rather than
+    truncated or coerced."""
+    if key not in data:
+        return None
+    value = data[key]
+    if type(value) is not int:
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario from a JSON config file; see build_scenario for the
     schema.  Raises ScenarioError on any malformed content."""
@@ -655,8 +691,8 @@ def build_scenario(data: dict) -> Scenario:
             if "drone_start" in data else base.drone_start
         carrier_start = _finite_pair("carrier_start", data["carrier_start"]) \
             if "carrier_start" in data else None
-        trials = int(data["trials"]) if "trials" in data else None
-        base_seed = int(data["base_seed"]) if "base_seed" in data else None
+        trials = _config_int(data, "trials")
+        base_seed = _config_int(data, "base_seed")
         if trials is not None and trials < 1:
             raise ScenarioError("trials must be >= 1")
     except ScenarioError:

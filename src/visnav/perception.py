@@ -197,6 +197,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
         pr = scale * marker.radius
         if not math.isfinite(pr * pr):
             raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
+        if x + pr < 0 or y + pr < 0 or x - pr > w - 1 or y - pr > h - 1:
+            continue  # wholly off the frame: its clipped box would be empty
         col0 = max(0, math.ceil(x - pr))
         col1 = min(w, math.floor(x + pr) + 1)
         row0 = max(0, math.ceil(y - pr))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -126,11 +127,9 @@ def step(world: WorldState, cmd: VelocityCommand, cfg: SimConfig,
         dx, dy = world.rng.normal(0.0, cfg.noise.drift_std, 2).tolist()
         vx += dx
         vy += dy
-    new_z = max(0.0, world.drone.z + vz * cfg.dt)
-    world.drone = replace(world.drone,
-                          x=world.drone.x + vx * cfg.dt,
-                          y=world.drone.y + vy * cfg.dt,
-                          z=new_z)
+    drone = world.drone
+    world.drone = Pose(drone.x + vx * cfg.dt, drone.y + vy * cfg.dt,
+                       max(0.0, drone.z + vz * cfg.dt), drone.yaw)
     _advance_carrier(world, cfg)
     world.steps += 1
     world.time = world.steps * cfg.dt
@@ -143,24 +142,30 @@ def _advance_carrier(world: WorldState, cfg: SimConfig) -> None:
     if i >= len(wps):
         return
     tx, ty = wps[i]
-    dx = tx - world.carrier.x
-    dy = ty - world.carrier.y
+    carrier = world.carrier
+    dx = tx - carrier.x
+    dy = ty - carrier.y
     dist = math.hypot(dx, dy)
     travel = cfg.carrier_speed * cfg.dt
     if dist <= travel:
-        world.carrier = replace(world.carrier, x=tx, y=ty)
+        world.carrier = Pose(tx, ty, carrier.z, carrier.yaw)
         world.carrier_wp_index = i + 1
     else:
-        world.carrier = replace(world.carrier,
-                                x=world.carrier.x + dx / dist * travel,
-                                y=world.carrier.y + dy / dist * travel)
+        world.carrier = Pose(carrier.x + dx / dist * travel, carrier.y + dy / dist * travel,
+                             carrier.z, carrier.yaw)
+
+
+@lru_cache(maxsize=64)
+def _pad(x: float, y: float, radius: float, height: float) -> Marker:
+    """The carrier's landing pad at (x, y); one frozen Marker per distinct
+    pad, so a carrier that does not move reuses it every tick."""
+    return Marker((x, y), radius, Color.BLUE, height)
 
 
 def capture(world: WorldState, cfg: SimConfig) -> Frame:
     """Bottom-camera frame: all world markers plus the carrier's blue
     landing pad rendered at the carrier pose, carrier_height up."""
-    pad = Marker((world.carrier.x, world.carrier.y), cfg.carrier_marker_radius, Color.BLUE,
-                 cfg.carrier_height)
+    pad = _pad(world.carrier.x, world.carrier.y, cfg.carrier_marker_radius, cfg.carrier_height)
     return render(world.drone, (*world.markers, pad), cfg.frame)
 
 

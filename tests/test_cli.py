@@ -225,3 +225,38 @@ def test_run_rejects_marker_radius_that_overflows(tmp_path, capsys, radius, mess
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+HUGE_MARKER = {"task": "track",
+               "markers": [{"x": 0.3, "y": 0.2, "radius": 1e306, "color": "pink"}]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-frames"]])
+def test_run_that_fails_in_a_trial_leaves_no_output_directory(tmp_path, capsys, flags):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_MARKER))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "2",
+                 "--out", str(out / "nested"), *flags]) == 2
+    assert "is too large to draw" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_that_fails_in_a_trial_leaves_an_existing_out_directory_as_it_was(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_MARKER))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me\n")
+    assert main(["run", "--config", str(path), "--out", str(out), "--dump-frames"]) == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("key, value", [("trials", 2.7), ("base_seed", "0")])
+def test_run_rejects_non_integer_trials_and_seed(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()

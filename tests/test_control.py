@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visnav import (ControllerGains, PixelError, PixelPoint, compute_command,
                     pixel_error)
@@ -136,3 +138,30 @@ def test_gains_validation():
 def test_pixel_error_rejects_non_finite():
     with pytest.raises(ValueError):
         PixelError(float("nan"), 0.0)
+
+
+@st.composite
+def gains_and_error(draw):
+    """Valid gains plus an error whose norm lies inside the deadband, in the
+    proportional band, or in saturation."""
+    gains = draw(st.builds(ControllerGains, k=st.floats(1e-6, 1.0),
+                           hover_threshold=st.floats(0.0, 500.0),
+                           max_speed=st.floats(1e-3, 10.0), literal_axes=st.booleans()))
+    hover, clamp = gains.hover_threshold, gains.max_speed / gains.k
+    band = draw(st.sampled_from(((0.0, hover), (hover, max(hover, clamp)),
+                                 (max(hover, clamp), 1e3 * max(hover, clamp, 1.0)))))
+    norm = draw(st.floats(*band))
+    angle = draw(st.floats(-math.pi, math.pi))
+    return gains, norm * math.cos(angle), norm * math.sin(angle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gains_and_error())
+def test_controller_is_odd_in_the_error(case):
+    # the reversal rests on this: a reflected target negates the error and
+    # so, bit for bit, the command
+    gains, ex, ey = case
+    pos = compute_command(PixelError(ex, ey), gains)
+    neg = compute_command(PixelError(-ex, -ey), gains)
+    assert (neg.vel_forward, neg.vel_right, neg.hovering) == \
+        (-pos.vel_forward, -pos.vel_right, pos.hovering)

@@ -195,3 +195,30 @@ def test_campaign_validation():
         Campaign(sc, trials=0)
     with pytest.raises(ValueError, match="base_seed"):
         Campaign(sc, base_seed=-1)
+
+
+def test_failed_trial_removes_every_directory_the_campaign_created(tmp_path, monkeypatch):
+    # trial 0 completes and trial 1 dumps its frames before it raises
+    import visnav.harness as harness
+    calls = []
+
+    def run_then_fail(spec, world, cfg, frame_sink=None):
+        result = run(spec, world, cfg, frame_sink=frame_sink)
+        calls.append(result)
+        if len(calls) == 2:
+            raise RuntimeError("trial failed")
+        return result
+
+    monkeypatch.setattr(harness, "run", run_then_fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    campaign = Campaign(default_scenario("track"), trials=3)
+    with pytest.raises(RuntimeError):
+        run_campaign(campaign, out_dir=out / "a" / "b", dump_frames=True)
+    assert len(calls) == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    calls.clear()
+    with pytest.raises(RuntimeError):
+        run_campaign(campaign, out_dir=out, dump_frames=True)
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visnav import (Color, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
                     ImaginedTrajectory, MarkerDetected, MissionKind, MissionSpec,
                     MotionLog, NoiseModel, PixelPoint, Pose, Scenario, SimConfig,
-                    VelocityCommand, fly_trajectory, forward_target, make_world,
-                    offset_target, reflect_about_center, reverse, run,
-                    square_trajectory)
+                    Phase, VelocityCommand, fly_trajectory, forward_target,
+                    initial_state, make_world, offset_target, reflect_about_center,
+                    reverse, run, square_trajectory, step, tick)
+from visnav.mission import build_scenario
 
 DEFAULT = FrameSpec()
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())
@@ -58,6 +61,19 @@ def test_reverse_single_entry_reflects_target():
     seg = traj.segments[0]
     assert (seg.target.x, seg.target.y) == (320.0, 280.0)
     assert seg.terminate_on == Duration(5.0)
+
+
+def test_reverse_shares_one_segment_per_target_and_duration():
+    log = MotionLog()
+    for i, (x, y) in enumerate([(320, 80), (420, 180), (320.0, 80.0), (320, 80)]):
+        log.append(0.1 * i, VelocityCommand(0.05, 0.0), 0.1, PixelPoint(x, y))
+    log.append(0.4, VelocityCommand(0.05, 0.0), 0.2, PixelPoint(320, 80))
+    segs = reverse(log, DEFAULT).segments
+    assert segs[1] is segs[2] is segs[4]
+    assert len({id(seg) for seg in segs}) == 3
+    assert [(s.target.x, s.target.y, s.terminate_on.seconds) for s in segs] == [
+        (320.0, 280.0, 0.2), (320.0, 280.0, 0.1), (320.0, 280.0, 0.1),
+        (220.0, 180.0, 0.1), (320.0, 280.0, 0.1)]
 
 
 def test_reverse_empty_log_raises():
@@ -163,3 +179,62 @@ def test_fly_trajectory_rejects_non_duration_segments():
     world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
     with pytest.raises(ValueError):
         fly_trajectory(traj, world, ZERO_NOISE)
+
+
+def _out_and_back(shape: str, reach: float, start: tuple[float, float]) -> dict:
+    """Trajectory and pink marker of a return mission from ``start`` whose
+    search finds the marker along a path of the given shape; ``reach`` in
+    [0, 1] stretches the path.  Imagined targets fly at 0.05 m/s."""
+    if shape == "forward":
+        trajectory, (mx, my) = {"type": "forward"}, (1.0 + reach, 0.0)
+    elif shape == "square":
+        side_s = 20.0 + 10.0 * reach
+        side = 0.05 * side_s
+        # out of view along the first side, found along the second
+        trajectory = {"type": "square", "side_duration_s": side_s}
+        mx, my = side, -0.6 * side - 0.6
+    else:
+        right_s = 4.0 + 6.0 * reach
+        trajectory = {"type": "segments", "segments": [
+            {"target": [420, 180], "until": {"type": "duration", "seconds": right_s}},
+            {"target": [320, 80], "until": {"type": "distance", "meters": 0.4}},
+            {"target": [320, 80], "until": {"type": "marker", "color": "pink"}}]}
+        mx, my = 1.4, -0.05 * right_s
+    return {"trajectory": trajectory, "drone_start": list(start),
+            "markers": [{"x": start[0] + mx, "y": start[1] + my, "radius": 0.06,
+                         "color": "pink"}]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(["forward", "square", "segments"]),
+       reach=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       drift=st.floats(0.0, 0.05), jitter=st.floats(0.0, 0.05),
+       start=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+def test_exhausted_replay_cancels_the_commanded_outbound_motion(shape, reach, seed, drift,
+                                                                 jitter, start):
+    # home is a color no marker has, so the replay runs to its end; there the
+    # replayed commands have cancelled the outbound ones, and the vehicle sits
+    # at its start displaced only by the takeoff jitter and the drift draws
+    sc = build_scenario({"task": "return", "home_color": "yellow", "timeout_s": 400.0,
+                         "sim": {"noise": {"drift_std": drift, "takeoff_jitter_std": jitter}},
+                         **_out_and_back(shape, reach, start)})
+    world = sc.make_world(seed)
+    state = initial_state(sc.spec)
+    while True:
+        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        assert not state.done, state.label(sc.spec)
+        if state.phase is Phase.REVERSING and \
+                state.segment_index == len(state.reversal.segments):
+            break
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
+
+    rng = np.random.default_rng(seed)
+    x, y = start
+    if jitter > 0:
+        jx, jy = rng.normal(0.0, jitter, 2)
+        x, y = x + jx, y + jy
+    if drift > 0:
+        for _ in range(world.steps):
+            dx, dy = rng.normal(0.0, drift, 2)
+            x, y = x + sc.cfg.dt * dx, y + sc.cfg.dt * dy
+    assert math.hypot(world.drone.x - x, world.drone.y - y) <= 1e-9

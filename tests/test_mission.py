@@ -181,6 +181,52 @@ def test_lost_detection_reverts_to_search_segment():
     assert Phase.SERVOING in transitions[:-1]
 
 
+@pytest.mark.parametrize("task", ["forward", "return"])
+def test_one_detect_per_captured_frame(task, monkeypatch):
+    import visnav.mission as mission
+    calls = {"capture": 0, "detect": 0}
+
+    def counted(name):
+        fn = getattr(mission, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mission, "capture", counted("capture"))
+    monkeypatch.setattr(mission, "detect", counted("detect"))
+    sc = default_scenario(task)
+    assert run(sc.spec, sc.make_world(3), sc.cfg).success
+    assert calls["detect"] == calls["capture"] > 0
+
+
+def test_segment_ending_on_another_color_expires_when_that_color_shows():
+    # the search watches pink; its first segment ends on green, which the
+    # segment rule must detect on its own
+    from visnav import detect
+    from visnav.mission import build_scenario
+    sc = build_scenario({
+        "task": "forward",
+        "markers": [{"x": 1.0, "y": 0.1, "radius": 0.06, "color": "green"},
+                    {"x": 2.5, "y": 0.0, "radius": 0.06, "color": "pink"}],
+        "trajectory": {"type": "segments", "segments": [
+            {"target": [320, 80], "until": {"type": "marker", "color": "green"}},
+            {"target": [330, 80], "until": {"type": "marker", "color": "pink"}}]},
+        "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+    frames = {}
+    result = run(sc.spec, sc.make_world(0), sc.cfg,
+                 frame_sink=lambda step, frame: frames.setdefault(step, frame))
+    assert result.success
+    labels = [r.fsm_state for r in result.rows if r.step in frames]
+    green = [detect(frames[r.step], Color.GREEN, sc.cfg.min_blob_size) is not None
+             for r in result.rows if r.step in frames]
+    first = green.index(True)
+    assert first > 0
+    assert labels[:first] == ["searching:0"] * first
+    assert labels[first] == "searching:1"
+
+
 def test_takeoff_reaches_exact_altitude():
     sc = zero_noise_scenario("forward")
     result = run(sc.spec, sc.make_world(0), sc.cfg)
@@ -311,6 +357,13 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "search_color": "mauve"}),
     json.dumps({"task": "forward", "trajectory": {"type": "spiral"}}),
     json.dumps({"task": "forward", "sim": {"dt": -1.0}}),
+    json.dumps({"task": "forward", "trials": 2.7}),
+    json.dumps({"task": "forward", "trials": True}),
+    json.dumps({"task": "forward", "trials": "3"}),
+    json.dumps({"task": "forward", "trials": None}),
+    json.dumps({"task": "forward", "base_seed": 4.0}),
+    json.dumps({"task": "forward", "base_seed": False}),
+    json.dumps({"task": "forward", "base_seed": "7"}),
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"
