@@ -6,10 +6,17 @@ summary.txt, and the dumped PPM frames folded into one digest) with a
 recorded value.  A speed-up or refactor that changes any of these bytes
 changes simulator behaviour; a deliberate behaviour change re-records
 them with ``PYTHONPATH=src python tests/test_golden.py``.
+
+Each trajectory file also has a label-stripped digest, taken with every
+``reversing:<n>`` state label rewritten to ``reversing``.  It pins the
+motion, commands, errors and phases of the return leg apart from how its
+replay is cut into segments, so a change that only renumbers those
+segments re-records the full digest and keeps this one.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -44,24 +51,34 @@ CASES = {
                      ["--dump-frames"]),
 }
 
+#: Key suffix of a trajectory file's label-stripped digest.
+UNINDEXED = "without reversing index"
+REVERSING_INDEX = re.compile(rb"reversing:\d+")
+
 GOLDEN = {
     'cluttered': {
         'results.csv': '5190a49ccc8f5fe01768fc83879e7ba4b93427e4bcb84fba5021fe2c0a11f064',
         'summary.txt': '17feed86809fc99ea782fcc4ff8c11f9500a68252eec2995a4992941f204da03',
         'trajectory_0.csv': '82c2112c599dde7b19ffa194303775062153881a529226bff79b3ff9c5344e76',
+        'trajectory_0.csv without reversing index': '164eee6a9e8bb63c95f192cad4d56b7cd7c6be3afdca4155e698c9b44c411f9c',
         'trajectory_1.csv': '03a3801b856f0e00d87cc50fb57f0731a5da870438a2786443a785898707dc16',
+        'trajectory_1.csv without reversing index': 'e2cfa82218ed704abd76437a9dd6c125025f0ddd399f0f82e4a4476b72534bcd',
     },
     'coordination_raised': {
         'results.csv': '0806b55caaebd686d6d8254ed5b3cc6236db98cad0041668757ac419ddb28de6',
         'summary.txt': '23cff506afd35c9c406e4dbdadfda6d251ec9e877d19cbbf7e80349a62e27b42',
         'trajectory_0.csv': '425c0a53483cc32cd861cd3dbf01fe6e7765af90896eee0b35415292f234a08a',
+        'trajectory_0.csv without reversing index': '64f8cd7b2972cb9b709c2d400b014a1c0879f8b3e37e6ad46249ba770219d441',
         'trajectory_1.csv': '651ff5d60c5d3702ccac1aa65affc4d6c781286ea2ae5edb7dfc7cf7753d1339',
+        'trajectory_1.csv without reversing index': '9776c4357c856d2bad5ea06c0cce2e73bb542c38212229268170a52b8dfefacb',
     },
     'frames_64x36': {
         'results.csv': '188b90a20a94996efff3324cf60f6cd910ce37ca3b30b2d0633230cdcde4b837',
         'summary.txt': '9f9ba549e6e2e3a21a118939696e9322d9904ab4b1c829f57d6d0f4195614ada',
         'trajectory_0.csv': 'b5d664d804a25c9b0a987112d54af487f5adfe318df470639cdf18450f095199',
+        'trajectory_0.csv without reversing index': 'd49fa302541285df52d386c42c07e1c994d0e811faa3ef611d2bc12223121c45',
         'trajectory_1.csv': '94fa34ef6c596431e646a4bae30a0aafcf20b0e0b586b5e037e477116f99bc4a',
+        'trajectory_1.csv without reversing index': '26466ceaa5da2b9cfb6ae7895a7b1238c82b34fd2699d92c0e2f2e3edd479f74',
         'trial_0/*.ppm': '2ffd8077d2ff421d3fa30ca7fdaad92c1d679f1c514470f6288361910a24cd5d',
         'trial_1/*.ppm': 'e3f13ab2c3f52d1e09eb2b924af4af700a850b7516f504a9ec0b93152d2d2dcc',
     },
@@ -69,13 +86,17 @@ GOLDEN = {
         'results.csv': 'c51ea050d2b6466f559406c4c44b9af1bfd0faa6db14de4fe2b8fa54e79920de',
         'summary.txt': '330719151d00e402960f12ce3cbd92eef09717195df8d974b5613f9cb4ebfc43',
         'trajectory_0.csv': 'f15155bf02969814dca8200feaf6cda1e98db85b85f89d771a54bd5550e7f6a1',
+        'trajectory_0.csv without reversing index': '3cdcfad19b91f92ecc3483d48267e6c50b8b3d680f0f81e190476b89675d967e',
         'trajectory_1.csv': '813b33416a782d5a3917318ccb060a9db6897438dfa47a0ea85d3938a7629967',
+        'trajectory_1.csv without reversing index': '9f4b17e96d7bea49933d2f8ad82d279cb9da3ed7ee049bc2ade0646c31dac0b7',
     },
     'return_drift_0.08': {
         'results.csv': '621c3c6e8c8e5e0dcb55257ed2eb7827f426e8d20eebf8cbaabeae14b7e9f266',
         'summary.txt': 'c29ed32e1c0cf35098e345f48ec21433d81f5dc719b48b57364de5ebb8d3deaf',
         'trajectory_0.csv': '4f30baab078ab383b3631c644c55f8e9bf7be37669eeb6f40f614e1947cf8844',
+        'trajectory_0.csv without reversing index': 'aa25665669668be037fcc3161fe53a1c0c9ab4e9f048211dd9b05242d59116bc',
         'trajectory_1.csv': 'c79aec749e3ecb3a4e40c409ace8bd4a11b6688379e778fd0206925b5539f1c0',
+        'trajectory_1.csv without reversing index': 'cfdcd7723e5dd9dc769e37f1474b6974cb53bf515b0b0705e7336f3342dd00ed',
     },
 }
 
@@ -88,8 +109,14 @@ def campaign_digests(config: dict, flags: list, tmp: Path) -> dict:
     out = tmp / "out"
     assert main(["run", "--config", str(path), "--trials", "2", "--seed", "3",
                  "--out", str(out), *flags]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir()) if p.is_file()}
+    digests = {}
+    for p in sorted(out.iterdir()):
+        if p.is_file():
+            data = p.read_bytes()
+            digests[p.name] = hashlib.sha256(data).hexdigest()
+            if p.name.startswith("trajectory_"):
+                stripped = REVERSING_INDEX.sub(b"reversing", data)
+                digests[f"{p.name} {UNINDEXED}"] = hashlib.sha256(stripped).hexdigest()
     for trial_dir in sorted(p for p in out.iterdir() if p.is_dir()):
         h = hashlib.sha256()
         for frame in sorted(trial_dir.iterdir()):
