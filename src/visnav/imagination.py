@@ -150,20 +150,12 @@ def reflect_about_center(p: PixelPoint, frame: FrameSpec) -> PixelPoint:
 def reverse(log: MotionLog, frame: FrameSpec) -> ImaginedTrajectory:
     """Homing trajectory from a motion log.
 
-    Entries are replayed newest-first, each as a Duration segment of the
+    Entries are replayed newest-first, each as one Duration segment of the
     logged length whose target is the logged target reflected about the
-    image center; entries with equal target and length share one segment.
-    Raises EmptyLogError when there is nothing to reverse.
+    image center.  Raises EmptyLogError when there is nothing to reverse.
     """
     if not log.entries:
         raise EmptyLogError("cannot reverse an empty motion log")
-    shared: dict[tuple[PixelPoint, float], ImaginedSegment] = {}
-    segments = []
-    for e in reversed(log.entries):
-        key = (e.target, e.duration)
-        seg = shared.get(key)
-        if seg is None:
-            seg = shared[key] = ImaginedSegment(reflect_about_center(e.target, frame),
-                                                Duration(e.duration))
-        segments.append(seg)
-    return ImaginedTrajectory(tuple(segments))
+    return ImaginedTrajectory(tuple(
+        ImaginedSegment(reflect_about_center(e.target, frame), Duration(e.duration))
+        for e in reversed(log.entries)))

@@ -17,9 +17,10 @@ The four kinds:
   CARRIER_COORDINATION  same chain, with the home pad provided by the
                         carrier robot the vehicle took off from.
 
-While searching and servoing outbound, every nonzero command is appended
-to a motion log together with the target that produced it; the return leg
-replays that log reflected about the image center (see imagination).
+While searching and servoing outbound, each stretch of ticks with the
+same nonzero command and target becomes one motion-log entry; the return
+leg replays that log, one segment per entry, reflected about the image
+center (see imagination).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .control import (ZERO_COMMAND, ControllerGains, VelocityCommand,
                       compute_command, pixel_error)
 from .geometry import FrameSpec, PixelPoint, Pose
 from .imagination import (Distance, Duration, EmptyLogError, ImaginedSegment,
-                          ImaginedTrajectory, MarkerDetected, MotionLog,
+                          ImaginedTrajectory, LogEntry, MarkerDetected, MotionLog,
                           forward_target, reverse, square_trajectory)
 from .perception import Color, Detection, Frame, Marker, detect
 from .sim import (NoiseModel, SimConfig, TrajectoryRow, WorldState, capture,
@@ -282,7 +283,11 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
 
     target, cmd = _act(state, spec, world, cfg)
     if state.phase in _OUTBOUND_PHASES and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
-        state.log.append(state.elapsed, cmd, cfg.dt, target)
+        last = state.log.entries[-1] if state.log.entries else None
+        if last and last.target == target and last.command == cmd:  # the stretch goes on
+            state.log.entries[-1] = LogEntry(last.timestamp, cmd, last.duration + cfg.dt, target)
+        else:
+            state.log.append(state.elapsed, cmd, cfg.dt, target)
 
     state.ticks += 1
     state.elapsed = state.ticks * cfg.dt
@@ -340,9 +345,8 @@ def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: F
         target = _follow(state, leg, world, frame, watched, cfg)
         if target is not None:
             return target, _fly(state, target, cfg)
-        if phase is Phase.SEARCHING:
-            return _fail(state, "search_exhausted")
-        # an exhausted replay holds and keeps scanning for home
+        return _fail(state, "search_exhausted" if phase is Phase.SEARCHING
+                     else "return_exhausted")
     elif phase is Phase.SERVOING:
         state.lost_ticks += 1
         if spec.trajectory is not None and state.lost_ticks > LOST_PATIENCE_TICKS:
@@ -554,9 +558,9 @@ def _parse_termination(node: dict):
     if kind == "marker":
         return MarkerDetected(_parse_color(node["color"]))
     if kind == "duration":
-        return Duration(float(node["seconds"]))
+        return Duration(_number("seconds", node["seconds"]))
     if kind == "distance":
-        return Distance(float(node["meters"]))
+        return Distance(_number("meters", node["meters"]))
     raise ScenarioError(f"unknown termination type {kind!r}")
 
 
@@ -565,12 +569,12 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
     if kind == "forward":
         return forward_search_trajectory(frame, search_color)
     if kind == "square":
-        return square_trajectory(frame, float(node["side_duration_s"]),
-                                 float(node.get("offset_px", 100.0)))
+        return square_trajectory(frame, _number("side_duration_s", node["side_duration_s"]),
+                                 _number("offset_px", node.get("offset_px", 100.0)))
     if kind == "segments":
         segs = []
         for s in node["segments"]:
-            tx, ty = s["target"]
+            tx, ty = _finite_pair("target", s["target"])
             segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
                                         _parse_termination(s["until"])))
         return ImaginedTrajectory(tuple(segs))
@@ -579,11 +583,19 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
 
 def _finite_pair(key: str, value) -> tuple[float, float]:
     """A config [x, y] point as a tuple, rejected here, naming its key,
-    when a coordinate is not finite (it would fail mid-run otherwise)."""
+    unless both coordinates are finite numbers (it fails mid-run otherwise)."""
     pair = tuple(value)
-    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+    if len(pair) != 2 or not all(type(v) in (int, float) and math.isfinite(v) for v in pair):
         raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
     return pair
+
+
+def _number(key: str, value) -> float:
+    """A config number as a float.  Any other JSON value (a bool, string,
+    null, list or object) is rejected, naming its key, not coerced."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _config_int(data: dict, key: str) -> Optional[int]:
@@ -659,6 +671,10 @@ def build_scenario(data: dict) -> Scenario:
         frame_node = sim_node.pop("frame", None)
         gains_node = sim_node.pop("gains", None)
         noise_node = sim_node.pop("noise", None)
+        for node in (sim_node, frame_node, gains_node, noise_node):
+            for key, value in dict(node or {}).items():
+                if key not in ("carrier_waypoints", "literal_axes"):
+                    _number(key, value)
         frame = FrameSpec(**frame_node) if frame_node else base.cfg.frame
         gains = ControllerGains(**gains_node) if gains_node else base.cfg.gains
         noise = NoiseModel(**noise_node) if noise_node else base.cfg.noise
@@ -679,13 +695,13 @@ def build_scenario(data: dict) -> Scenario:
                            search_color=search_color,
                            home_color=home_color,
                            trajectory=trajectory,
-                           timeout=float(data.get("timeout_s", DEFAULT_TIMEOUT_S)))
+                           timeout=_number("timeout_s", data.get("timeout_s", DEFAULT_TIMEOUT_S)))
 
         markers = base.markers
         if "markers" in data:
             markers = tuple(
-                Marker((float(m["x"]), float(m["y"])), float(m["radius"]),
-                       _parse_color(m["color"]))
+                Marker((_number("x", m["x"]), _number("y", m["y"])),
+                       _number("radius", m["radius"]), _parse_color(m["color"]))
                 for m in data["markers"])
         drone_start = _finite_pair("drone_start", data["drone_start"]) \
             if "drone_start" in data else base.drone_start
@@ -697,7 +713,7 @@ def build_scenario(data: dict) -> Scenario:
             raise ScenarioError("trials must be >= 1")
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"bad config value: {exc}") from exc
 
     return Scenario(spec=spec, cfg=cfg, markers=markers,

@@ -148,19 +148,12 @@ def _moments(disc: _Disc) -> tuple[int, int, int]:
 class Frame:
     """A bottom-camera label grid of shape (height, width), dtype uint8.
 
-    A frame from render() keeps its drawn discs in marker order and
-    rasterises ``labels`` on first read; one built from labels has discs None.
+    A frame keeps the discs render() drew, in marker order, and rasterises
+    ``labels`` on first read.
     """
 
-    def __init__(self, spec: FrameSpec, labels: Optional[np.ndarray] = None,
-                 discs: Optional[tuple[_Disc, ...]] = None) -> None:
-        if (labels is None) == (discs is None):
-            raise ValueError("a frame is built from exactly one of labels or discs")
+    def __init__(self, spec: FrameSpec, discs: tuple[_Disc, ...]) -> None:
         self.spec, self.discs = spec, discs
-        if labels is not None:
-            if labels.shape != (spec.height, spec.width):
-                raise ValueError(f"label grid shape {labels.shape} != spec {spec}")
-            self.labels = labels
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -205,7 +198,7 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
         row1 = min(h, math.floor(y + pr) + 1)
         if col0 < col1 and row0 < row1:
             discs.append(_Disc(marker.color.value, PixelPoint(x, y), pr, (row0, row1, col0, col1)))
-    return Frame(frame_spec, discs=tuple(discs))
+    return Frame(frame_spec, tuple(discs))
 
 
 def _label_moments(region: np.ndarray, code: int, row0: int, col0: int) -> tuple[int, int, int]:
@@ -226,26 +219,22 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
 
     The centroid is the plain mean of matching pixel coordinates (computed
     from exact integer sums), so two same-colored blobs yield the centroid
-    of their union.  None signals absence, not failure.  On a rendered
-    frame the color's discs are summed in closed form when no other drawn
-    disc's box overlaps theirs; otherwise only the box around them is
-    rasterised, for the nearest-disc tie-break.
+    of their union.  None signals absence, not failure.  The color's discs
+    are summed in closed form when no other drawn disc's box overlaps
+    theirs; otherwise only the box around them is rasterised, for the
+    nearest-disc tie-break.
     """
     code = color.value
-    if frame.discs is None:
-        moments = _label_moments(frame.labels, code, 0, 0)
+    watched = [d for d in frame.discs if d.code == code]
+    if not watched:
+        return None
+    if any(_overlap(w.box, d.box) for w in watched for d in frame.discs if d is not w):
+        row0, row1 = min(d.box[0] for d in watched), max(d.box[1] for d in watched)
+        col0, col1 = min(d.box[2] for d in watched), max(d.box[3] for d in watched)
+        region = _raster(frame.discs, (row0, row1, col0, col1))
+        count, sum_rows, sum_cols = _label_moments(region, code, row0, col0)
     else:
-        watched = [d for d in frame.discs if d.code == code]
-        if not watched:
-            return None
-        if any(_overlap(w.box, d.box) for w in watched for d in frame.discs if d is not w):
-            row0, row1 = min(d.box[0] for d in watched), max(d.box[1] for d in watched)
-            col0, col1 = min(d.box[2] for d in watched), max(d.box[3] for d in watched)
-            region = _raster(frame.discs, (row0, row1, col0, col1))
-            moments = _label_moments(region, code, row0, col0)
-        else:
-            moments = [sum(m) for m in zip(*map(_moments, watched))]
-    count, sum_rows, sum_cols = moments
+        count, sum_rows, sum_cols = [sum(m) for m in zip(*map(_moments, watched))]
     if count == 0 or count < min_blob_size:
         return None
     # exact integer sums in frame coordinates, then a single division

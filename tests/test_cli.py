@@ -260,3 +260,21 @@ def test_run_rejects_non_integer_trials_and_seed(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{key} must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, config", [
+    ("timeout_s", {"task": "forward", "timeout_s": "30"}),
+    ("radius", {"task": "track",
+                "markers": [{"x": 0.3, "y": 0.2, "radius": True, "color": "pink"}]}),
+    ("seconds", {"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": {"type": "duration", "seconds": "5"}}]}}),
+    ("dt", {"task": "forward", "sim": {"dt": True}}),
+    ("drift_std", {"task": "forward", "sim": {"noise": {"drift_std": "0.01"}}}),
+])
+def test_run_rejects_config_numbers_that_are_not_json_numbers(tmp_path, capsys, key, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+    assert not out.exists()

@@ -59,9 +59,9 @@ GOLDEN = {
     'cluttered': {
         'results.csv': '5190a49ccc8f5fe01768fc83879e7ba4b93427e4bcb84fba5021fe2c0a11f064',
         'summary.txt': '17feed86809fc99ea782fcc4ff8c11f9500a68252eec2995a4992941f204da03',
-        'trajectory_0.csv': '82c2112c599dde7b19ffa194303775062153881a529226bff79b3ff9c5344e76',
+        'trajectory_0.csv': 'bfc405b165d859996798cf61a0f77f7368adbff72b078b1d4f913d200bc84b90',
         'trajectory_0.csv without reversing index': '164eee6a9e8bb63c95f192cad4d56b7cd7c6be3afdca4155e698c9b44c411f9c',
-        'trajectory_1.csv': '03a3801b856f0e00d87cc50fb57f0731a5da870438a2786443a785898707dc16',
+        'trajectory_1.csv': '37f223848d78f617ba62e4a086dcb13ad25d9551b66e5ef1ff7407484fb866b5',
         'trajectory_1.csv without reversing index': 'e2cfa82218ed704abd76437a9dd6c125025f0ddd399f0f82e4a4476b72534bcd',
     },
     'coordination_raised': {
@@ -85,17 +85,17 @@ GOLDEN = {
     'return_drift': {
         'results.csv': 'c51ea050d2b6466f559406c4c44b9af1bfd0faa6db14de4fe2b8fa54e79920de',
         'summary.txt': '330719151d00e402960f12ce3cbd92eef09717195df8d974b5613f9cb4ebfc43',
-        'trajectory_0.csv': 'f15155bf02969814dca8200feaf6cda1e98db85b85f89d771a54bd5550e7f6a1',
+        'trajectory_0.csv': '33a8d32703d1d72646eb6669d26a6a657c21c942ce20b2ec7bb9cddde77f3e3f',
         'trajectory_0.csv without reversing index': '3cdcfad19b91f92ecc3483d48267e6c50b8b3d680f0f81e190476b89675d967e',
-        'trajectory_1.csv': '813b33416a782d5a3917318ccb060a9db6897438dfa47a0ea85d3938a7629967',
+        'trajectory_1.csv': 'ffdaf3f7528744261c508fc7e8ab2452f11f67d594ac24b4b524c2355a7839be',
         'trajectory_1.csv without reversing index': '9f4b17e96d7bea49933d2f8ad82d279cb9da3ed7ee049bc2ade0646c31dac0b7',
     },
     'return_drift_0.08': {
         'results.csv': '621c3c6e8c8e5e0dcb55257ed2eb7827f426e8d20eebf8cbaabeae14b7e9f266',
         'summary.txt': 'c29ed32e1c0cf35098e345f48ec21433d81f5dc719b48b57364de5ebb8d3deaf',
-        'trajectory_0.csv': '4f30baab078ab383b3631c644c55f8e9bf7be37669eeb6f40f614e1947cf8844',
+        'trajectory_0.csv': 'd6283c91866ccf00c4742ac60fd9326cda907ff8d5c47b3db9091e112c5b1264',
         'trajectory_0.csv without reversing index': 'aa25665669668be037fcc3161fe53a1c0c9ab4e9f048211dd9b05242d59116bc',
-        'trajectory_1.csv': 'c79aec749e3ecb3a4e40c409ace8bd4a11b6688379e778fd0206925b5539f1c0',
+        'trajectory_1.csv': 'a8e730597b5bc2aff48a521dcc883d782b58bf3d94636d16fa454d8a4f2593b3',
         'trajectory_1.csv without reversing index': 'cfdcd7723e5dd9dc769e37f1474b6974cb53bf515b0b0705e7336f3342dd00ed',
     },
 }

@@ -63,17 +63,38 @@ def test_reverse_single_entry_reflects_target():
     assert seg.terminate_on == Duration(5.0)
 
 
-def test_reverse_shares_one_segment_per_target_and_duration():
-    log = MotionLog()
-    for i, (x, y) in enumerate([(320, 80), (420, 180), (320.0, 80.0), (320, 80)]):
-        log.append(0.1 * i, VelocityCommand(0.05, 0.0), 0.1, PixelPoint(x, y))
-    log.append(0.4, VelocityCommand(0.05, 0.0), 0.2, PixelPoint(320, 80))
-    segs = reverse(log, DEFAULT).segments
-    assert segs[1] is segs[2] is segs[4]
-    assert len({id(seg) for seg in segs}) == 3
-    assert [(s.target.x, s.target.y, s.terminate_on.seconds) for s in segs] == [
-        (320.0, 280.0, 0.2), (320.0, 280.0, 0.1), (320.0, 280.0, 0.1),
-        (220.0, 180.0, 0.1), (320.0, 280.0, 0.1)]
+def test_return_log_holds_one_entry_per_stretch_of_constant_command():
+    sc = build_scenario({"task": "return",
+                         "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+    world = sc.make_world(0)
+    state = initial_state(sc.spec)
+    labels = []
+    while state.phase is not Phase.REVERSING:
+        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        labels.append(state.label(sc.spec))
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
+    # the whole forward search flies one imagined target: one entry
+    searching = sum(label.startswith("searching") for label in labels)
+    first, second = state.log.entries[:2]
+    assert first.target == forward_target(DEFAULT) != second.target
+    assert first.duration == pytest.approx(searching * sc.cfg.dt, rel=1e-12)
+    assert [(s.target, s.terminate_on) for s in reversed(state.reversal.segments)] == [
+        (reflect_about_center(e.target, DEFAULT), Duration(e.duration))
+        for e in state.log.entries]
+
+
+def test_fly_trajectory_logs_adjacent_identical_segments_apart():
+    # an open-loop flight logs one entry per segment, even when two
+    # neighbours are equal, so reversing twice gives every target back
+    seg = ImaginedSegment(PixelPoint(420, 180), Duration(0.5))
+    traj = ImaginedTrajectory((ImaginedSegment(PixelPoint(320, 80), Duration(0.3)), seg, seg))
+    world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
+    log_out = fly_trajectory(traj, world, ZERO_NOISE)
+    assert len(log_out) == 3
+    log_back = fly_trajectory(reverse(log_out, DEFAULT), world, ZERO_NOISE)
+    assert len(log_back) == 3
+    assert reverse(log_back, DEFAULT).targets() == traj.targets()
+    assert math.hypot(world.drone.x, world.drone.y) <= 1e-9
 
 
 def test_reverse_empty_log_raises():
@@ -222,10 +243,9 @@ def test_exhausted_replay_cancels_the_commanded_outbound_motion(shape, reach, se
     state = initial_state(sc.spec)
     while True:
         state, cmd = tick(state, sc.spec, world, sc.cfg)
-        assert not state.done, state.label(sc.spec)
-        if state.phase is Phase.REVERSING and \
-                state.segment_index == len(state.reversal.segments):
+        if state.fail_reason == "return_exhausted":
             break
+        assert not state.done, state.label(sc.spec)
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
 
     rng = np.random.default_rng(seed)

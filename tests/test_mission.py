@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from visnav import (AbsorbingStateError, Color, MissionKind, MissionSpec,
+from visnav import (ZERO_COMMAND, AbsorbingStateError, Color, MissionKind, MissionSpec,
                     NoiseModel, Phase, Scenario, ScenarioError, SimConfig,
                     audit_transitions, default_scenario, forward_search_trajectory,
                     initial_state, load_scenario, run, square_trajectory, tick)
@@ -364,6 +364,34 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "base_seed": 4.0}),
     json.dumps({"task": "forward", "base_seed": False}),
     json.dumps({"task": "forward", "base_seed": "7"}),
+    # numbers must be JSON numbers, not bools or strings
+    json.dumps({"task": "forward", "timeout_s": "30"}),
+    json.dumps({"task": "forward", "timeout_s": True}),
+    json.dumps({"task": "forward",
+                "markers": [{"x": 1.0, "y": 0.0, "radius": True, "color": "pink"}]}),
+    json.dumps({"task": "forward",
+                "markers": [{"x": "1.0", "y": 0.0, "radius": 0.06, "color": "pink"}]}),
+    json.dumps({"task": "forward",
+                "markers": [{"x": 1.0, "y": False, "radius": 0.06, "color": "pink"}]}),
+    json.dumps({"task": "forward", "trajectory": {"type": "square", "side_duration_s": "3"}}),
+    json.dumps({"task": "forward",
+                "trajectory": {"type": "square", "side_duration_s": 3.0, "offset_px": True}}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": {"type": "duration", "seconds": "5"}}]}}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": {"type": "distance", "meters": True}}]}}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": ["320", 80], "until": {"type": "marker", "color": "pink"}}]}}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, True], "until": {"type": "marker", "color": "pink"}}]}}),
+    json.dumps({"task": "forward", "drone_start": [True, 0.0]}),
+    json.dumps({"task": "forward", "sim": {"dt": True}}),
+    json.dumps({"task": "forward", "sim": {"altitude": "1.0"}}),
+    json.dumps({"task": "forward", "sim": {"min_blob_size": None}}),
+    json.dumps({"task": "forward", "sim": {"frame": {"width": "640"}}}),
+    json.dumps({"task": "forward", "sim": {"gains": {"k": True}}}),
+    json.dumps({"task": "forward", "sim": {"noise": {"drift_std": "0.01"}}}),
+    '{"task": "forward", "timeout_s": 1' + "0" * 400 + "}",   # no float holds it
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -377,9 +405,9 @@ def test_load_scenario_missing_file():
         load_scenario("/nonexistent/mission.json")
 
 
-def test_exhausted_return_replay_holds_until_timeout():
+def test_exhausted_return_replay_fails():
     # the carrier drives off, so the replayed return leg ends over an empty
-    # pad site: the vehicle then holds at zero velocity and keeps scanning
+    # pad site: the mission fails there instead of waiting out the timeout
     from visnav import step
     from visnav.mission import build_scenario
     sc = build_scenario({"task": "coordination", "timeout_s": 100.0,
@@ -393,10 +421,6 @@ def test_exhausted_return_replay_holds_until_timeout():
         rows.append((state.label(sc.spec), cmd))
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     n = len(state.reversal.segments)
-    held = f"reversing:{n}"
-    first = [label for label, _ in rows].index(held)
-    assert [label for label, _ in rows[first - 1:first]] == [f"reversing:{n - 1}"]
-    assert all(label == held and cmd.vel_forward == 0.0 and cmd.vel_right == 0.0
-               for label, cmd in rows[first:-1])
-    assert rows[-1][0] == "failed:timeout"
-    assert (len(rows), n, len(rows) - 1 - first) == (1001, 363, 243)
+    assert rows[-2][0] == f"reversing:{n - 1}"
+    assert rows[-1] == ("failed:return_exhausted", ZERO_COMMAND)
+    assert (len(rows), n) == (758, 88)

@@ -8,11 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, Frame, FrameSpec, GroundedError, Marker, Pose, detect,
-                    frame_filename, perception, project, render, write_ppm)
+from visnav import (Color, Detection, Frame, FrameSpec, GroundedError, Marker, PixelPoint,
+                    Pose, detect, frame_filename, perception, project, render, write_ppm)
 
 DEFAULT = FrameSpec()
 HOVER = Pose(0.0, 0.0, 1.0, 0.0)
+
+
+def detect_on_labels(labels, color, min_blob_size):
+    """Full-grid reference for detect: the count and centroid of every
+    pixel of the color in a label grid, from exact integer sums."""
+    rows, cols = np.nonzero(labels == color.value)
+    count = rows.size
+    if count == 0 or count < min_blob_size:
+        return None
+    return Detection(color, PixelPoint(int(cols.sum()) / count, int(rows.sum()) / count), count)
 
 
 def brute_force_centroid(labels, code):
@@ -169,21 +179,12 @@ def test_same_color_blobs_merge_into_one_centroid():
 
 
 def test_frame_shape_validation():
-    with pytest.raises(ValueError):
-        Frame(DEFAULT, np.zeros((10, 10), dtype=np.uint8))
-    with pytest.raises(ValueError):
+    # a frame is built from its discs only; its grid has the spec's shape
+    with pytest.raises(TypeError):
         Frame(DEFAULT)
-
-
-def test_detect_scans_whole_frame_built_from_labels():
-    labels = np.zeros((360, 640), dtype=np.uint8)
-    labels[50:70, 100:120] = Color.RED.value
-    frame = Frame(DEFAULT, labels)  # no discs: every pixel is scanned
-    assert frame.discs is None
-    det = detect(frame, Color.RED)
-    assert det is not None
-    assert det.center.x == pytest.approx(109.5)
-    assert det.center.y == pytest.approx(59.5)
+    spec = FrameSpec(48, 32, 24.0)
+    labels = render(HOVER, [Marker((0.0, 0.0), 0.5, Color.PINK)], spec).labels
+    assert (labels.shape, labels.dtype) == ((32, 48), np.uint8)
 
 
 def test_write_ppm_format_and_determinism(tmp_path):
@@ -241,20 +242,18 @@ def _build(scene, spec):
 def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
     drone, markers = _build(scene, DEFAULT)
     frame = render(drone, markers, DEFAULT)
-    full = Frame(DEFAULT, frame.labels)
     for color in Color:
         for size in (1, 10):
-            assert detect(frame, color, size) == detect(full, color, size)
+            assert detect(frame, color, size) == detect_on_labels(frame.labels, color, size)
 
 
-def _detect_all(frame, spec):
+def _detect_all(frame):
     """detect on a rendered frame for every color and blob size, paired with
-    detect on its full label grid, and the number of _raster calls the
-    rendered frame's detects made."""
-    full = Frame(spec, frame.labels)
+    the full-grid reference on its labels, and the number of _raster calls
+    the rendered frame's detects made."""
     with mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
         got = [detect(frame, color, size) for color in Color for size in (1, 10)]
-    want = [detect(full, color, size) for color in Color for size in (1, 10)]
+    want = [detect_on_labels(frame.labels, color, size) for color in Color for size in (1, 10)]
     return got, want, raster.call_count
 
 
@@ -263,7 +262,7 @@ def _detect_all(frame, spec):
                  st.lists(DISC, min_size=1, max_size=1)))
 def test_isolated_disc_moments_match_full_grid_without_raster(scene):
     drone, markers = _build(scene, DEFAULT)
-    got, want, raster_calls = _detect_all(render(drone, markers, DEFAULT), DEFAULT)
+    got, want, raster_calls = _detect_all(render(drone, markers, DEFAULT))
     assert got == want
     assert raster_calls == 0
 
@@ -278,7 +277,7 @@ def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):
     extra = (fx + rho * r * math.cos(angle) * aspect, fy + rho * r * math.sin(angle), r, color, h)
     drone, markers = _build((z, yaw, raw + [extra]), DEFAULT)
     frame = render(drone, markers, DEFAULT)
-    got, want, raster_calls = _detect_all(frame, DEFAULT)
+    got, want, raster_calls = _detect_all(frame)
     assert got == want
     boxes = [d.box for d in frame.discs]
     if any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
@@ -301,7 +300,7 @@ def test_far_centered_disc_matches_full_grid(z, yaw, log_distance, angle, u, v, 
     radius = math.hypot(center[0] - rim[0], center[1] - rim[1]) + slack * half_w
     drone = Pose(0.0, 0.0, z, yaw)
     frame = render(drone, [Marker(center, radius, Color.PINK)], DEFAULT)
-    got, want, raster_calls = _detect_all(frame, DEFAULT)
+    got, want, raster_calls = _detect_all(frame)
     assert got == want
     assert raster_calls == 0
 
