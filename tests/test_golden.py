@@ -12,6 +12,11 @@ Each trajectory file also has a label-stripped digest, taken with every
 motion, commands, errors and phases of the return leg apart from how its
 replay is cut into segments, so a change that only renumbers those
 segments re-records the full digest and keeps this one.
+
+Open-loop flight has a pin of its own: seeded ``fly_trajectory``
+out-and-back flights, each digested from the ``repr`` of the final drone
+and carrier poses, the carrier's waypoint index, the step count, the
+clock, every motion-log entry of both legs and the generator state.
 """
 
 import hashlib
@@ -21,6 +26,8 @@ from pathlib import Path
 
 import pytest
 
+from visnav import (Duration, ImaginedSegment, ImaginedTrajectory, NoiseModel, PixelPoint,
+                    Pose, SimConfig, fly_trajectory, make_world, reverse, square_trajectory)
 from visnav.cli import main
 
 CASES = {
@@ -131,6 +138,50 @@ def test_campaign_bytes_match_recorded_digests(name, tmp_path, capsys):
     assert campaign_digests(config, flags, tmp_path) == GOLDEN[name]
 
 
+#: Duration-terminated segments: (target pixel, seconds).  The odd lengths
+#: round to 37, 4, 23 and 30 ticks of 0.1 s.
+SEGMENTS = (((320.0, 80.0), 3.7), ((517.5, 260.0), 0.4),
+            ((101.0, -250.0), 2.3), ((640.0, 181.0), 3.0))
+#: The carrier, starting under the drone, reaches (0.5, 0) on tick 19,
+#: inside the first segment, and (0.5, 1.1) on tick 56, inside the third.
+CARRIER_WAYPOINTS = ((0.5, 0.0), (0.5, 1.1))
+
+OPEN_LOOP = {
+    "square_drift_0": (0.0, (), "square"),
+    "segments_drift_0.01": (0.01, (), "segments"),
+    "segments_drift_0.08": (0.08, (), "segments"),
+    "segments_drift_0.08_carrier": (0.08, CARRIER_WAYPOINTS, "segments"),
+}
+
+OPEN_LOOP_GOLDEN = {
+    'segments_drift_0.01': 'cdbaf24f22e4badc5d5fa2c3839b7f16981560645a3f58614974a0c84a7a8843',
+    'segments_drift_0.08': '55a467cce964a0e3c1903eb85fad586b3befb56b66aadef53d0336dd11035213',
+    'segments_drift_0.08_carrier': '592fd222f491ef86f32dfa07979b408ab38432f1fddd3f011103d76d9c4dbf27',
+    'square_drift_0': '0382943e80a4fb2336239d46c51a78a5b4e45b54d7d94ac981e00c9e858ec4d7',
+}
+
+
+def open_loop_digest(drift: float, waypoints: tuple, shape: str) -> str:
+    """SHA-256 of a seeded out-and-back ``fly_trajectory`` flight's end state."""
+    cfg = SimConfig(noise=NoiseModel(drift, 0.0), carrier_waypoints=waypoints)
+    if shape == "square":
+        traj = square_trajectory(cfg.frame, 2.5)
+    else:
+        traj = ImaginedTrajectory(tuple(ImaginedSegment(PixelPoint(*target), Duration(seconds))
+                                        for target, seconds in SEGMENTS))
+    world = make_world(17, drone=Pose(0.25, -0.5, cfg.altitude, 0.3))
+    log_out = fly_trajectory(traj, world, cfg)
+    log_back = fly_trajectory(reverse(log_out, cfg.frame), world, cfg)
+    state = (world.drone, world.carrier, world.carrier_wp_index, world.steps, world.time,
+             log_out.entries, log_back.entries, world.rng.bit_generator.state)
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_LOOP))
+def test_open_loop_flight_matches_recorded_digest(name):
+    assert open_loop_digest(*OPEN_LOOP[name]) == OPEN_LOOP_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -140,3 +191,5 @@ if __name__ == "__main__":
             digests = campaign_digests(*CASES[name], Path(tmp))
         print(f"    {name!r}: {{", *(f"        {k!r}: {v!r}," for k, v in digests.items()),
               "    },", sep="\n")
+    for name in sorted(OPEN_LOOP):
+        print(f"    {name!r}: {open_loop_digest(*OPEN_LOOP[name])!r},")
