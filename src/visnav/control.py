@@ -54,6 +54,8 @@ class ControllerGains:
             raise ValueError("hover_threshold must be >= 0")
         if not self.max_speed > 0:
             raise ValueError("max_speed must be positive")
+        if type(self.literal_axes) is not bool:
+            raise ValueError(f"literal_axes must be true or false, got {self.literal_axes!r}")
 
 
 @dataclass(frozen=True)

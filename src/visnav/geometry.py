@@ -63,8 +63,9 @@ class FrameSpec:
     focal_length: float = 320.0
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("frame dimensions must be positive integers")
+        for name, size in (("width", self.width), ("height", self.height)):
+            if type(size) is not int or size < 1:
+                raise ValueError(f"frame {name} must be an integer >= 1, got {size!r}")
         if not self.focal_length > 0:
             raise ValueError("focal_length must be positive")
 

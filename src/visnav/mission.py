@@ -440,8 +440,10 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
     """Fly Duration-terminated segments open loop (no perception).
 
     Each segment becomes one motion-log entry; durations execute to the
-    nearest whole step since the world is dt-quantized.  Useful for
-    pattern flights and reversal studies; closed-loop missions use run().
+    nearest whole step since the world is dt-quantized.  A segment is one
+    ``step`` call over all its ticks, bit-identical to stepping it tick by
+    tick.  Useful for pattern flights and reversal studies; closed-loop
+    missions use run().
     """
     log = MotionLog()
     for seg in traj.segments:
@@ -450,8 +452,7 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
         _, cmd = _imagined_command(seg.target, cfg.gains, cfg.frame)
         n_steps = max(1, round(seg.terminate_on.seconds / cfg.dt))
         start_time = world.time
-        for _ in range(n_steps):
-            step(world, cmd, cfg)
+        step(world, cmd, cfg, ticks=n_steps)
         log.append(start_time, cmd, n_steps * cfg.dt, seg.target)
     return log
 

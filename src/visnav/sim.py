@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError("carrier_height must be in [0, altitude)")
         if not self.climb_rate > 0 or not self.descent_rate > 0:
             raise ValueError("vertical rates must be positive")
+        if type(self.min_blob_size) is not int or self.min_blob_size < 1:
+            raise ValueError(f"min_blob_size must be an integer >= 1, got {self.min_blob_size!r}")
         loop_gain = self.dt * self.gains.k * self.frame.focal_length / self.altitude
         if loop_gain >= 1.0:
             raise ValueError(
@@ -110,49 +112,78 @@ def make_world(seed: int, markers: Sequence[Marker] = (),
 
 
 def step(world: WorldState, cmd: VelocityCommand, cfg: SimConfig,
-         vz: float = 0.0) -> WorldState:
-    """Advance the world by one tick; mutates and returns ``world``.
+         vz: float = 0.0, *, ticks: int = 1) -> WorldState:
+    """Advance the world by ``ticks`` ticks of one command; mutates and
+    returns ``world``.
 
     The body-frame command is rotated into the world frame, drift (when
     enabled) is added as a velocity perturbation, and positions integrate
-    with a forward Euler step.  ``vz`` is the vertical rate set by the
-    mission layer during takeoff and landing; altitude clamps at zero.
-    Time is recomputed as steps * dt, never accumulated.
+    with a forward Euler step per tick.  ``vz`` is the vertical rate set by
+    the mission layer during takeoff and landing; altitude clamps at zero
+    every tick.  Time is recomputed as steps * dt, never accumulated.
+
+    A stretch is bit-identical to ``ticks`` calls with ``ticks=1``: the
+    drift is drawn as one (ticks, 2) block, which gives the same values and
+    generator state as per-tick draws of 2, the Euler terms are summed tick
+    by tick in the same order, and the carrier moves one tick at a time.
+    Only the drone's final Pose is built and validated; when that raises
+    (an overflowing position stays non-finite to the end), the poses, clock
+    and waypoint index are left as they were.
     """
-    c = math.cos(world.drone.yaw)
-    s = math.sin(world.drone.yaw)
+    if ticks < 1:
+        raise ValueError(f"ticks must be >= 1, got {ticks!r}")
+    drone = world.drone
+    c = math.cos(drone.yaw)
+    s = math.sin(drone.yaw)
     vx = cmd.vel_forward * c + cmd.vel_right * s
     vy = cmd.vel_forward * s - cmd.vel_right * c
+    dt = cfg.dt
+    x, y = drone.x, drone.y
     if cfg.noise.drift_std > 0:
-        dx, dy = world.rng.normal(0.0, cfg.noise.drift_std, 2).tolist()
-        vx += dx
-        vy += dy
-    drone = world.drone
-    world.drone = Pose(drone.x + vx * cfg.dt, drone.y + vy * cfg.dt,
-                       max(0.0, drone.z + vz * cfg.dt), drone.yaw)
-    _advance_carrier(world, cfg)
-    world.steps += 1
-    world.time = world.steps * cfg.dt
+        for dx, dy in world.rng.normal(0.0, cfg.noise.drift_std, (ticks, 2)).tolist():
+            x += (vx + dx) * dt
+            y += (vy + dy) * dt
+    else:
+        ax, ay = vx * dt, vy * dt
+        for _ in range(ticks):
+            x += ax
+            y += ay
+    dz = vz * dt
+    z = max(0.0, drone.z + dz)
+    if dz:   # with dz == 0 the first clamp is a fixed point
+        for _ in range(ticks - 1):
+            z = max(0.0, z + dz)
+    world.drone = Pose(x, y, z, drone.yaw)
+    if world.carrier_wp_index < len(cfg.carrier_waypoints):
+        _advance_carrier(world, cfg, ticks)
+    world.steps += ticks
+    world.time = world.steps * dt
     return world
 
 
-def _advance_carrier(world: WorldState, cfg: SimConfig) -> None:
+def _advance_carrier(world: WorldState, cfg: SimConfig, ticks: int) -> None:
+    """Drive the carrier ``ticks`` ticks along its waypoints at carrier_speed,
+    at least one waypoint remaining; a tick that can reach the current
+    waypoint stops on it."""
     wps = cfg.carrier_waypoints
     i = world.carrier_wp_index
-    if i >= len(wps):
-        return
-    tx, ty = wps[i]
-    carrier = world.carrier
-    dx = tx - carrier.x
-    dy = ty - carrier.y
-    dist = math.hypot(dx, dy)
     travel = cfg.carrier_speed * cfg.dt
-    if dist <= travel:
-        world.carrier = Pose(tx, ty, carrier.z, carrier.yaw)
-        world.carrier_wp_index = i + 1
-    else:
-        world.carrier = Pose(carrier.x + dx / dist * travel, carrier.y + dy / dist * travel,
-                             carrier.z, carrier.yaw)
+    carrier = world.carrier
+    for _ in range(ticks):
+        tx, ty = wps[i]
+        dx = tx - carrier.x
+        dy = ty - carrier.y
+        dist = math.hypot(dx, dy)
+        if dist <= travel:
+            carrier = Pose(tx, ty, carrier.z, carrier.yaw)
+            i += 1
+            if i == len(wps):
+                break
+        else:
+            carrier = Pose(carrier.x + dx / dist * travel, carrier.y + dy / dist * travel,
+                           carrier.z, carrier.yaw)
+    world.carrier = carrier
+    world.carrier_wp_index = i
 
 
 @lru_cache(maxsize=64)

@@ -262,6 +262,21 @@ def test_run_rejects_non_integer_trials_and_seed(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message, sim", [
+    ("literal_axes must be true or false", {"gains": {"literal_axes": "false"}}),
+    ("frame width must be an integer >= 1", {"frame": {"width": 640.5}}),
+    ("min_blob_size must be an integer >= 1", {"min_blob_size": -5}),
+    ("min_blob_size must be an integer >= 1", {"min_blob_size": 2.5}),
+])
+def test_run_rejects_mistyped_switches_and_sizes(tmp_path, capsys, message, sim):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"task": "track", "sim": sim}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, config", [
     ("timeout_s", {"task": "forward", "timeout_s": "30"}),
     ("radius", {"task": "track",

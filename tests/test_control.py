@@ -135,6 +135,12 @@ def test_gains_validation():
         ControllerGains(max_speed=0.0)
 
 
+@pytest.mark.parametrize("switch", ["false", 0, 1, None])
+def test_literal_axes_must_be_a_bool(switch):
+    with pytest.raises(ValueError, match="literal_axes must be true or false"):
+        ControllerGains(literal_axes=switch)
+
+
 def test_pixel_error_rejects_non_finite():
     with pytest.raises(ValueError):
         PixelError(float("nan"), 0.0)

@@ -131,6 +131,12 @@ def test_frame_spec_validation():
         FrameSpec(640, 360, 0.0)
 
 
+@pytest.mark.parametrize("width, height", [(640.5, 360), (640, 360.0), (True, 360), (640, -1)])
+def test_frame_size_must_be_a_positive_integer(width, height):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        FrameSpec(width, height)
+
+
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose(0, 0, -0.1, 0)

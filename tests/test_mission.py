@@ -391,6 +391,15 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "sim": {"frame": {"width": "640"}}}),
     json.dumps({"task": "forward", "sim": {"gains": {"k": True}}}),
     json.dumps({"task": "forward", "sim": {"noise": {"drift_std": "0.01"}}}),
+    # a switch must be a JSON bool: the string "false" is truthy
+    json.dumps({"task": "track", "sim": {"gains": {"literal_axes": "false"}}}),
+    json.dumps({"task": "track", "sim": {"gains": {"literal_axes": 0}}}),
+    json.dumps({"task": "track", "sim": {"gains": {"literal_axes": None}}}),
+    # sizes and counts must be JSON integers >= 1
+    json.dumps({"task": "forward", "sim": {"frame": {"width": 640.5}}}),
+    json.dumps({"task": "forward", "sim": {"frame": {"height": 0}}}),
+    json.dumps({"task": "forward", "sim": {"min_blob_size": -5}}),
+    json.dumps({"task": "forward", "sim": {"min_blob_size": 2.5}}),
     '{"task": "forward", "timeout_s": 1' + "0" * 400 + "}",   # no float holds it
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):

@@ -4,7 +4,7 @@ import copy
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visnav import (Color, ControllerGains, GroundedError, Marker,
@@ -106,12 +106,67 @@ def test_sim_config_validation():
         NoiseModel(drift_std=-0.1)
 
 
+@pytest.mark.parametrize("size", [0, -5, 2.5, True])
+def test_min_blob_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError, match="min_blob_size must be an integer >= 1"):
+        SimConfig(min_blob_size=size)
+
+
 def test_vertical_rate_and_ground_clamp():
     world = make_world(0, drone=Pose(0, 0, 0.0, 0))
     step(world, VelocityCommand(0, 0), ZERO_NOISE, vz=0.5)
     assert world.drone.z == pytest.approx(0.05)
     step(world, VelocityCommand(0, 0), ZERO_NOISE, vz=-2.0)
     assert world.drone.z == 0.0   # clamped
+
+
+def world_state(world):
+    """Everything a step may change, as a repr: equal reprs are equal bits
+    (repr tells -0.0 from 0.0)."""
+    return repr((world.drone, world.carrier, world.carrier_wp_index, world.steps, world.time,
+                 world.rng.bit_generator.state))
+
+
+_speed = st.floats(-1.0, 1.0)
+_point = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32), drift=st.just(0.0) | st.floats(0.0, 0.1),
+       yaw=st.floats(-math.pi, math.pi), z=st.floats(0.0, 1.0),
+       cmd=st.builds(VelocityCommand, _speed, _speed),
+       vz=st.just(0.0) | st.floats(-2.0, 2.0),
+       waypoints=st.lists(_point, max_size=3), carrier_speed=st.floats(0.05, 1.0),
+       steps=st.integers(0, 5000), n=st.integers(1, 40))
+@example(seed=0, drift=0.0, yaw=0.0, z=-0.0, cmd=VelocityCommand(0.0, 0.0, True), vz=0.0,
+         waypoints=[], carrier_speed=0.3, steps=0, n=3)
+def test_a_stretch_equals_its_single_ticks(seed, drift, yaw, z, cmd, vz, waypoints,
+                                           carrier_speed, steps, n):
+    # a descent of up to 8 m from at most 1 m clamps at the ground mid-stretch,
+    # and a carrier at up to 0.1 m per tick reaches waypoints mid-stretch
+    cfg = SimConfig(noise=NoiseModel(drift, 0.0), carrier_waypoints=tuple(waypoints),
+                    carrier_speed=carrier_speed)
+    world = make_world(seed, drone=Pose(0.3, -0.2, z, yaw))
+    world.steps, world.time = steps, steps * cfg.dt
+    ticked = copy.deepcopy(world)
+    step(world, cmd, cfg, vz, ticks=n)
+    for _ in range(n):
+        step(ticked, cmd, cfg, vz)
+    assert world_state(world) == world_state(ticked)
+
+
+def test_an_overflowing_stretch_raises_and_leaves_the_world_as_it_was():
+    cfg = SimConfig(noise=NoiseModel.zero(), carrier_waypoints=((0.5, 0.0),))
+    world = airborne_world()
+    before = world_state(world)
+    with pytest.raises(ValueError, match="finite"):
+        step(world, VelocityCommand(1e308, 0.0), cfg, ticks=30)
+    assert world_state(world) == before
+
+
+def test_a_stretch_needs_at_least_one_tick():
+    with pytest.raises(ValueError, match="ticks"):
+        step(airborne_world(), VelocityCommand(0.05, 0.0), ZERO_NOISE, ticks=0)
 
 
 def test_capture_marker_below_is_centered_blob():
