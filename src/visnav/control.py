@@ -48,12 +48,12 @@ class ControllerGains:
     literal_axes: bool = False
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError("gain k must be positive")
-        if self.hover_threshold < 0:
-            raise ValueError("hover_threshold must be >= 0")
-        if not self.max_speed > 0:
-            raise ValueError("max_speed must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError("gain k must be positive and finite")
+        if not 0 <= self.hover_threshold < math.inf:
+            raise ValueError("hover_threshold must be finite and >= 0")
+        if not 0 < self.max_speed < math.inf:
+            raise ValueError("max_speed must be positive and finite")
         if type(self.literal_axes) is not bool:
             raise ValueError(f"literal_axes must be true or false, got {self.literal_axes!r}")
 

@@ -66,8 +66,8 @@ class FrameSpec:
         for name, size in (("width", self.width), ("height", self.height)):
             if type(size) is not int or size < 1:
                 raise ValueError(f"frame {name} must be an integer >= 1, got {size!r}")
-        if not self.focal_length > 0:
-            raise ValueError("focal_length must be positive")
+        if not 0 < self.focal_length < math.inf:
+            raise ValueError("focal_length must be positive and finite")
 
     @cached_property
     def center(self) -> PixelPoint:

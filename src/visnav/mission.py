@@ -129,8 +129,9 @@ class MissionState:
     ticks: int = 0
     succeeded: bool = False
     # bookkeeping
-    segment_elapsed: float = 0.0
+    segment_ticks: int = 0
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
+    segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
     hover_elapsed: float = 0.0
     land_streak: int = 0
     lost_ticks: int = 0
@@ -190,22 +191,12 @@ def _command(target: PixelPoint, gains: ControllerGains,
     return err.norm(), compute_command(err, gains)
 
 
-#: An imagined target keeps its offset from the frame center, so its error
-#: norm and command are constants of these frozen inputs.
-_imagined_command = lru_cache(maxsize=256)(_command)
-
-
-def _steer(state: MissionState, target: PixelPoint, gains: ControllerGains,
-           cfg: SimConfig) -> VelocityCommand:
-    """Proportional command towards a blob centroid."""
-    state.last_err, cmd = _command(target, gains, cfg.frame)
-    return cmd
-
-
-def _fly(state: MissionState, target: PixelPoint, cfg: SimConfig) -> VelocityCommand:
-    """Proportional command towards an imagined target."""
-    state.last_err, cmd = _imagined_command(target, cfg.gains, cfg.frame)
-    return cmd
+def _duration_ticks(rule: Duration, dt: float) -> float:
+    """Ticks a Duration segment lasts: seconds / dt to the nearest whole
+    tick (halves to even), at least one.  inf when seconds / dt overflows,
+    so such a segment never expires."""
+    n = rule.seconds / dt
+    return max(1, round(n)) if n < math.inf else n
 
 
 @lru_cache(maxsize=16)
@@ -214,19 +205,22 @@ def _landing_gains(gains: ControllerGains) -> ControllerGains:
     return replace(gains, hover_threshold=LAND_THRESHOLD_PX)
 
 
-def _enter_segment(state: MissionState, index: int, world: WorldState) -> None:
+def _enter_segment(state: MissionState, leg: ImaginedTrajectory, index: int,
+                   world: WorldState, cfg: SimConfig) -> None:
+    """Start segment ``index`` of ``leg`` from the current pose.  An imagined
+    target keeps its offset from the frame center, so the segment's error
+    norm and command are fixed here."""
     state.segment_index = index
-    state.segment_elapsed = 0.0
+    state.segment_ticks = 0
     state.segment_start_xy = (world.drone.x, world.drone.y)
+    state.segment_command = _command(leg.segments[index].target, cfg.gains, cfg.frame)
 
 
-def _start_leg(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
-               cfg: SimConfig) -> _Action:
-    """Fly the first segment of a search or return leg from the current pose."""
-    _enter_segment(state, 0, world)
-    state.segment_elapsed += cfg.dt
-    target = traj.segments[0].target
-    return target, _fly(state, target, cfg)
+def _fly(state: MissionState, leg: ImaginedTrajectory) -> _Action:
+    """One tick of the current segment of ``leg``."""
+    state.segment_ticks += 1
+    state.last_err, cmd = state.segment_command
+    return leg.segments[state.segment_index].target, cmd
 
 
 def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldState,
@@ -238,27 +232,12 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
         return rule.color is not absent and \
             detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
-        return state.segment_elapsed >= rule.seconds - 1e-9
+        return state.segment_ticks >= _duration_ticks(rule, cfg.dt)
     if isinstance(rule, Distance):
         sx, sy = state.segment_start_xy
         moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
         return moved >= rule.meters - 1e-12
     raise TypeError(f"unknown termination rule {rule!r}")
-
-
-def _follow(state: MissionState, traj: ImaginedTrajectory, world: WorldState,
-            frame: Frame, absent: Color, cfg: SimConfig) -> Optional[PixelPoint]:
-    """Target of the segment to fly this tick, moving on to the next one
-    once the current segment has expired.  None once the last segment has
-    expired; segment_index then stays one past the end."""
-    segments = traj.segments
-    i = state.segment_index
-    if i < len(segments) and _segment_expired(state, segments[i], world, frame, absent, cfg):
-        _enter_segment(state, i + 1, world)
-    if state.segment_index == len(segments):
-        return None
-    state.segment_elapsed += cfg.dt
-    return segments[state.segment_index].target
 
 
 def tick(state: MissionState, spec: MissionSpec, world: WorldState,
@@ -308,7 +287,8 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
     if phase is Phase.TAKING_OFF:
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
         state.phase = Phase.SEARCHING
-        return _start_leg(state, spec.trajectory, world, cfg)
+        _enter_segment(state, spec.trajectory, 0, world, cfg)
+        return _fly(state, spec.trajectory)
     if phase is Phase.HOVERING_ON_TARGET and state.hover_elapsed >= HOVER_DWELL_S - 1e-9:
         if spec.kind not in _RETURNING_KINDS:
             state.succeeded = True  # and hold over the marker for this last tick
@@ -318,7 +298,8 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
             except EmptyLogError:
                 return _fail(state, "reversal_unavailable")
             state.phase = Phase.REVERSING
-            return _start_leg(state, state.reversal, world, cfg)
+            _enter_segment(state, state.reversal, 0, world, cfg)
+            return _fly(state, state.reversal)
     if phase is Phase.LANDING and world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
         world.drone = replace(world.drone, z=cfg.carrier_height)
         state.phase = Phase.LANDED
@@ -338,22 +319,26 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
 
 def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: Frame,
              watched: Color, cfg: SimConfig) -> _Action:
-    """Nothing of the watched color in view: fly the current leg or hold."""
+    """Nothing of the watched color in view: fly the current leg, moving on
+    to its next segment once the current one has expired, or hold.  The leg
+    fails once its last segment has expired."""
     phase = state.phase
     if phase is Phase.SEARCHING or phase is Phase.REVERSING:
         leg = spec.trajectory if phase is Phase.SEARCHING else state.reversal
-        target = _follow(state, leg, world, frame, watched, cfg)
-        if target is not None:
-            return target, _fly(state, target, cfg)
-        return _fail(state, "search_exhausted" if phase is Phase.SEARCHING
-                     else "return_exhausted")
+        i = state.segment_index
+        if _segment_expired(state, leg.segments[i], world, frame, watched, cfg):
+            if i + 1 == len(leg.segments):
+                return _fail(state, "search_exhausted" if phase is Phase.SEARCHING
+                             else "return_exhausted")
+            _enter_segment(state, leg, i + 1, world, cfg)
+        return _fly(state, leg)
     elif phase is Phase.SERVOING:
         state.lost_ticks += 1
         if spec.trajectory is not None and state.lost_ticks > LOST_PATIENCE_TICKS:
             # resume the interrupted search segment from the current pose
             state.phase = Phase.SEARCHING
             state.lost_ticks = 0
-            _enter_segment(state, state.segment_index, world)
+            _enter_segment(state, spec.trajectory, state.segment_index, world, cfg)
     elif phase is Phase.SERVOING_HOME:
         state.land_streak = 0
     return None, ZERO_COMMAND
@@ -365,7 +350,7 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     state.last_detected = det.color
     landing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
     gains = _landing_gains(cfg.gains) if landing else cfg.gains
-    cmd = _steer(state, det.center, gains, cfg)
+    state.last_err, cmd = _command(det.center, gains, cfg.frame)
     if phase is Phase.SEARCHING:
         state.phase = Phase.SERVOING
         state.lost_ticks = 0
@@ -439,18 +424,19 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
                    cfg: SimConfig) -> MotionLog:
     """Fly Duration-terminated segments open loop (no perception).
 
-    Each segment becomes one motion-log entry; durations execute to the
-    nearest whole step since the world is dt-quantized.  A segment is one
-    ``step`` call over all its ticks, bit-identical to stepping it tick by
-    tick.  Useful for pattern flights and reversal studies; closed-loop
-    missions use run().
+    Each segment becomes one motion-log entry.  The world is dt-quantized,
+    so a segment lasts seconds / dt rounded to the nearest whole tick
+    (halves to even), at least one: the same rule as a Duration segment
+    of a closed-loop mission in run().  A segment is one ``step`` call over
+    all its ticks, bit-identical to stepping it tick by tick.  Useful for
+    pattern flights and reversal studies; closed-loop missions use run().
     """
     log = MotionLog()
     for seg in traj.segments:
         if not isinstance(seg.terminate_on, Duration):
             raise ValueError("fly_trajectory handles Duration-terminated segments only")
-        _, cmd = _imagined_command(seg.target, cfg.gains, cfg.frame)
-        n_steps = max(1, round(seg.terminate_on.seconds / cfg.dt))
+        _, cmd = _command(seg.target, cfg.gains, cfg.frame)
+        n_steps = _duration_ticks(seg.terminate_on, cfg.dt)
         start_time = world.time
         step(world, cmd, cfg, ticks=n_steps)
         log.append(start_time, cmd, n_steps * cfg.dt, seg.target)

@@ -33,8 +33,10 @@ class NoiseModel:
     takeoff_jitter_std: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.drift_std < 0 or self.takeoff_jitter_std < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        if not 0 <= self.drift_std < math.inf:
+            raise ValueError("drift_std must be finite and >= 0")
+        if not 0 <= self.takeoff_jitter_std < math.inf:
+            raise ValueError("takeoff_jitter_std must be finite and >= 0")
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -64,14 +66,12 @@ class SimConfig:
     descent_rate: float = 0.3
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.altitude > 0:
-            raise ValueError("altitude must be positive")
-        if self.carrier_height < 0 or self.carrier_height >= self.altitude:
+        for key in ("dt", "altitude", "carrier_marker_radius", "carrier_speed",
+                    "climb_rate", "descent_rate"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
+        if not 0 <= self.carrier_height < self.altitude:
             raise ValueError("carrier_height must be in [0, altitude)")
-        if not self.climb_rate > 0 or not self.descent_rate > 0:
-            raise ValueError("vertical rates must be positive")
         if type(self.min_blob_size) is not int or self.min_blob_size < 1:
             raise ValueError(f"min_blob_size must be an integer >= 1, got {self.min_blob_size!r}")
         loop_gain = self.dt * self.gains.k * self.frame.focal_length / self.altitude

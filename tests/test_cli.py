@@ -1,5 +1,6 @@
 """The visnav command line: run / stats / spread subcommands and exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -293,3 +294,36 @@ def test_run_rejects_config_numbers_that_are_not_json_numbers(tmp_path, capsys, 
     assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     assert f"{key} must be a number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, sim", [
+    ("hover_threshold", '{"gains": {"hover_threshold": NaN}}'),
+    ("drift_std", '{"noise": {"drift_std": NaN}}'),
+    ("takeoff_jitter_std", '{"noise": {"takeoff_jitter_std": NaN}}'),
+    ("carrier_speed", '{"carrier_speed": -0.3, "carrier_waypoints": [[1.0, 0.0]]}'),
+    ("carrier_speed", '{"carrier_speed": NaN, "carrier_waypoints": [[1.0, 0.0]]}'),
+    ("carrier_height", '{"carrier_height": NaN}'),
+    ("carrier_marker_radius", '{"carrier_marker_radius": NaN}'),
+])
+def test_run_rejects_non_finite_and_out_of_range_sim_values(tmp_path, capsys, key, sim):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"task": "coordination", "sim": {sim}}}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_run_with_a_duration_too_long_to_count_in_ticks_times_out(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "task": "forward", "markers": [], "timeout_s": 5.0,
+        "trajectory": {"type": "segments", "segments": [
+            {"target": [320, 80], "until": {"type": "duration", "seconds": 1e308}}]}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    with open(out / "results.csv", newline="") as fh:
+        assert [row["outcome"] for row in csv.DictReader(fh)] == ["failed:timeout"]

@@ -135,6 +135,16 @@ def test_gains_validation():
         ControllerGains(max_speed=0.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", math.inf), ("k", math.nan),
+    ("hover_threshold", math.inf), ("hover_threshold", math.nan),
+    ("max_speed", math.inf), ("max_speed", math.nan),
+])
+def test_gains_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=key):
+        ControllerGains(**{key: value})
+
+
 @pytest.mark.parametrize("switch", ["false", 0, 1, None])
 def test_literal_axes_must_be_a_bool(switch):
     with pytest.raises(ValueError, match="literal_axes must be true or false"):

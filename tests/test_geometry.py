@@ -129,6 +129,9 @@ def test_frame_spec_validation():
         FrameSpec(0, 360, 320.0)
     with pytest.raises(ValueError):
         FrameSpec(640, 360, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="focal_length must be positive and finite"):
+            FrameSpec(640, 360, bad)
 
 
 @pytest.mark.parametrize("width, height", [(640.5, 360), (640, 360.0), (True, 360), (640, -1)])

@@ -227,6 +227,63 @@ def test_segment_ending_on_another_color_expires_when_that_color_shows():
     assert labels[first] == "searching:1"
 
 
+def duration_search(seconds, timeout_s=120.0):
+    """A marker-less forward search of one Duration segment at zero noise."""
+    from visnav.mission import build_scenario
+    return build_scenario({
+        "task": "forward", "markers": [], "timeout_s": timeout_s,
+        "trajectory": {"type": "segments", "segments": [
+            {"target": [320, 80], "until": {"type": "duration", "seconds": seconds}}]},
+        "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+
+
+@pytest.mark.parametrize("seconds", [0.15, 0.25, 0.35, 0.1, 0.3, 1.0, 2.5, 4.0])
+def test_closed_and_open_loop_fly_a_duration_for_the_same_ticks(seconds):
+    from visnav import fly_trajectory, make_world
+    sc = duration_search(seconds)
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert result.outcome == "failed:search_exhausted"
+    closed = sum(r.fsm_state == "searching:0" and (r.vel_fwd, r.vel_right) != (0.0, 0.0)
+                 for r in result.rows)
+    world = make_world(0)
+    log = fly_trajectory(sc.spec.trajectory, world, sc.cfg)
+    assert closed == world.steps == round(log.entries[0].duration / sc.cfg.dt) >= 1
+
+
+@pytest.mark.parametrize("until", [1e308, math.inf])
+def test_a_duration_longer_than_any_mission_runs_to_the_timeout(until):
+    from visnav import Duration, ImaginedSegment, ImaginedTrajectory, PixelPoint
+    sc = duration_search(1.0, timeout_s=5.0)
+    traj = ImaginedTrajectory((ImaginedSegment(PixelPoint(320, 80), Duration(until)),))
+    spec = dataclasses.replace(sc.spec, trajectory=traj)
+    result = run(spec, sc.make_world(0), sc.cfg)
+    assert result.outcome == "failed:timeout"
+    assert result.rows[-2].fsm_state == "searching:0"
+
+
+def test_imagined_command_is_computed_once_per_segment_start(monkeypatch):
+    import visnav.mission as mission
+    calls = 0
+    compute = mission.compute_command
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(mission, "compute_command", counted)
+    sc = default_scenario("return")
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert result.success
+    labels = [r.fsm_state for r in result.rows]
+    # the top of the climb, each advance, each resume and the replay start
+    starts = sum(label != prev and label.split(":")[0] in ("searching", "reversing")
+                 for prev, label in zip(["", *labels], labels))
+    steered = sum(r.detected_color != "" for r in result.rows)
+    assert starts > 2 and steered > 0
+    assert calls == starts + steered
+
+
 def test_takeoff_reaches_exact_altitude():
     sc = zero_noise_scenario("forward")
     result = run(sc.spec, sc.make_world(0), sc.cfg)
@@ -401,6 +458,16 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "sim": {"min_blob_size": -5}}),
     json.dumps({"task": "forward", "sim": {"min_blob_size": 2.5}}),
     '{"task": "forward", "timeout_s": 1' + "0" * 400 + "}",   # no float holds it
+    # NaN, an infinity or a carrier that cannot reach its waypoints
+    '{"task": "track", "sim": {"gains": {"hover_threshold": NaN}}}',
+    '{"task": "track", "sim": {"gains": {"max_speed": Infinity}}}',
+    '{"task": "return", "sim": {"noise": {"drift_std": NaN}}}',
+    '{"task": "return", "sim": {"noise": {"takeoff_jitter_std": NaN}}}',
+    '{"task": "coordination", "sim": {"carrier_speed": -0.3}}',
+    '{"task": "coordination", "sim": {"carrier_speed": NaN}}',
+    '{"task": "coordination", "sim": {"carrier_height": NaN}}',
+    '{"task": "coordination", "sim": {"carrier_marker_radius": NaN}}',
+    '{"task": "coordination", "sim": {"carrier_marker_radius": -Infinity}}',
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"

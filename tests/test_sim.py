@@ -106,6 +106,25 @@ def test_sim_config_validation():
         NoiseModel(drift_std=-0.1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt", math.inf), ("altitude", math.nan), ("climb_rate", math.inf),
+    ("descent_rate", math.nan), ("carrier_height", math.nan),
+    ("carrier_speed", -0.3), ("carrier_speed", 0.0), ("carrier_speed", math.nan),
+    ("carrier_speed", math.inf), ("carrier_marker_radius", 0.0),
+    ("carrier_marker_radius", math.nan), ("carrier_marker_radius", math.inf),
+])
+def test_sim_config_rejects_non_finite_and_out_of_range_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        SimConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["drift_std", "takeoff_jitter_std"])
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+def test_noise_std_must_be_finite_and_non_negative(key, value):
+    with pytest.raises(ValueError, match=key):
+        NoiseModel(**{key: value})
+
+
 @pytest.mark.parametrize("size", [0, -5, 2.5, True])
 def test_min_blob_size_must_be_a_positive_integer(size):
     with pytest.raises(ValueError, match="min_blob_size must be an integer >= 1"):
