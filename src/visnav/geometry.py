@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 
 class GroundedError(ValueError):
@@ -90,44 +89,25 @@ class Pose:
             raise ValueError("altitude z must be >= 0")
 
 
-def _pixels(drone: Pose, frame: FrameSpec,
-            points: Iterable[tuple[tuple[float, float], float]]) -> list[tuple[float, float, float]]:
-    """Pinhole projection of (world_point, height) pairs from one pose, in
-    one pass: cos/sin of the yaw and the frame center are computed once.
-
-    Returns (x, y, scale) per point: the pixel coordinates as plain floats,
-    unchecked, and scale = focal_length / depth in pixels per meter.  The
-    body offset is (forward, right) = (c*dx + s*dy, s*dx - c*dy), right being
-    90 degrees clockwise from the heading when viewed from above.
-
-    Raises GroundedError when the camera is not above a point.
-    """
-    x, y, z = drone.x, drone.y, drone.z
-    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
-    cx, cy, f = frame.width / 2.0, frame.height / 2.0, frame.focal_length
-    out = []
-    for (px, py), height in points:
-        if z <= height:
-            raise GroundedError("projection undefined with the camera not above the point")
-        dx = px - x
-        dy = py - y
-        scale = f / (z - height)
-        out.append((cx + scale * (s * dx - c * dy), cy - scale * (c * dx + s * dy), scale))
-    return out
-
-
 def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,
             height: float = 0.0) -> PixelPoint:
     """Pinhole projection of a point ``height`` above the ground plane into
-    the bottom camera; the depth is drone.z - height.
+    the bottom camera; the depth is drone.z - height.  The body offset is
+    (forward, right) = (c*dx + s*dy, s*dx - c*dy).  perception.render
+    inlines this formula bit for bit.
 
     The result is a valid PixelPoint even when it falls outside the frame
     bounds; use :func:`in_frame` to test visibility.
 
     Raises GroundedError when the camera is not above the point.
     """
-    (x, y, _), = _pixels(drone, frame, ((world_point, height),))
-    return PixelPoint(x, y)
+    if drone.z <= height:
+        raise GroundedError("projection undefined with the camera not above the point")
+    dx, dy = world_point[0] - drone.x, world_point[1] - drone.y
+    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
+    scale = frame.focal_length / (drone.z - height)
+    return PixelPoint(frame.width / 2.0 + scale * (s * dx - c * dy),
+                      frame.height / 2.0 - scale * (c * dx + s * dy))
 
 
 def in_frame(p: PixelPoint, frame: FrameSpec) -> bool:

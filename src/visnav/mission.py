@@ -430,13 +430,25 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
     of a closed-loop mission in run().  A segment is one ``step`` call over
     all its ticks, bit-identical to stepping it tick by tick.  Useful for
     pattern flights and reversal studies; closed-loop missions use run().
+
+    Every segment is checked before the first step, so a flight that raises
+    leaves ``world`` untouched: ValueError names the first segment that is
+    not Duration-terminated or that takes the flight over MAX_MISSION_TICKS.
     """
-    log = MotionLog()
+    ticks, total = [], 0
     for seg in traj.segments:
         if not isinstance(seg.terminate_on, Duration):
-            raise ValueError("fly_trajectory handles Duration-terminated segments only")
+            raise ValueError(f"segment {len(ticks)}: fly_trajectory handles "
+                             "Duration-terminated segments only")
+        n = _duration_ticks(seg.terminate_on, cfg.dt)
+        total += n
+        if total > MAX_MISSION_TICKS:
+            raise ValueError(f"segment {len(ticks)} takes the flight to {total:.4g} ticks, "
+                             f"over the budget of {MAX_MISSION_TICKS}")
+        ticks.append(n)
+    log = MotionLog()
+    for seg, n_steps in zip(traj.segments, ticks):
         _, cmd = _command(seg.target, cfg.gains, cfg.frame)
-        n_steps = _duration_ticks(seg.terminate_on, cfg.dt)
         start_time = world.time
         step(world, cmd, cfg, ticks=n_steps)
         log.append(start_time, cmd, n_steps * cfg.dt, seg.target)

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import FrameSpec, GroundedError, PixelPoint, Pose, _pixels, _require_finite
+from .geometry import FrameSpec, GroundedError, PixelPoint, Pose
 
 BACKGROUND = 0
 
@@ -65,11 +65,24 @@ class Marker:
     height: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("marker position", *self.position)
+        if not isinstance(self.color, Color):
+            raise ValueError(f"marker color must be a Color, got {self.color!r}")
+        try:
+            x, y = self.position
+            finite = math.isfinite(x) and math.isfinite(y)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError(f"marker position must be finite (x, y), got {self.position!r}")
         if not 0 < self.radius < math.inf:
             raise ValueError("marker radius must be positive and finite")
         if not 0 <= self.height < math.inf:
             raise ValueError("marker height must be finite and >= 0")
+
+
+class _Pixel(NamedTuple):  # a drawn disc's pixel center, checked finite
+    x: float
+    y: float
 
 
 class _Disc(NamedTuple):
@@ -77,7 +90,7 @@ class _Disc(NamedTuple):
     clipped to the frame as half-open (row0, row1, col0, col1)."""
 
     code: int
-    center: PixelPoint
+    center: _Pixel
     radius: float
     box: tuple[int, int, int, int]
 
@@ -174,30 +187,44 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     color of the nearest marker whose projected disc covers it, or
     background.  Discs project as discs (nadir camera, level markers) with
     pixel radius = focal_length * radius / (drone.z - marker.height).
+    One pass projects each marker (project()'s formula, inlined), checks
+    it, and culls it or clips its box.
 
-    Raises GroundedError when the camera is not above every marker, and
-    ValueError when a marker's projected center is not finite or its
-    pixel radius is too large for the raster's squared-distance test.
+    Raises GroundedError when the camera is not above every marker, else
+    ValueError for the first marker whose projected center is not finite
+    or whose pixel radius is too large for the raster's distance test.
     """
-    if drone.z <= 0:
+    x0, y0, z = drone.x, drone.y, drone.z
+    if z <= 0:
         raise GroundedError("cannot render with the camera on the ground")
-    w, h = frame_spec.width, frame_spec.height
+    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
+    w, h, f = frame_spec.width, frame_spec.height, frame_spec.focal_length
+    cx, cy = w / 2.0, h / 2.0
+    isfinite, ceil, floor = math.isfinite, math.ceil, math.floor
     discs = []
-    projected = _pixels(drone, frame_spec, [(m.position, m.height) for m in markers])
-    for marker, (x, y, scale) in zip(markers, projected):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
+    for marker in markers:
+        if z <= marker.height:
+            raise GroundedError("projection undefined with the camera not above the point")
+        px, py = marker.position
+        dx, dy = px - x0, py - y0
+        scale = f / (z - marker.height)
+        x = cx + scale * (s * dx - c * dy)
+        y = cy - scale * (c * dx + s * dy)
         pr = scale * marker.radius
-        if not math.isfinite(pr * pr):
-            raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
+        if not (isfinite(x) and isfinite(y) and isfinite(pr * pr)):
+            if any(z <= m.height for m in markers):
+                raise GroundedError("projection undefined with the camera not above the point")
+            if isfinite(x) and isfinite(y):
+                raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
+            raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
         if x + pr < 0 or y + pr < 0 or x - pr > w - 1 or y - pr > h - 1:
             continue  # wholly off the frame: its clipped box would be empty
-        col0 = max(0, math.ceil(x - pr))
-        col1 = min(w, math.floor(x + pr) + 1)
-        row0 = max(0, math.ceil(y - pr))
-        row1 = min(h, math.floor(y + pr) + 1)
+        col0 = max(0, ceil(x - pr))
+        col1 = min(w, floor(x + pr) + 1)
+        row0 = max(0, ceil(y - pr))
+        row1 = min(h, floor(y + pr) + 1)
         if col0 < col1 and row0 < row1:
-            discs.append(_Disc(marker.color.value, PixelPoint(x, y), pr, (row0, row1, col0, col1)))
+            discs.append(_Disc(marker.color.value, _Pixel(x, y), pr, (row0, row1, col0, col1)))
     return Frame(frame_spec, tuple(discs))
 
 

@@ -206,3 +206,22 @@ def test_render_rejects_non_finite_projected_center():
     for drone, marker in cases:
         with pytest.raises(ValueError, match="finite"):
             render(drone, [marker], DEFAULT)
+
+
+def test_render_grounded_error_outranks_an_earlier_markers_overflow():
+    # a camera at or below any marker raises GroundedError, even when an
+    # earlier marker's centre or pixel radius is not finite
+    pad = Marker((0.0, 0.0), 0.1, Color.BLUE, 2.0)
+    cases = [(Pose(-1e308, 0.0, 1.0, 0.0), Marker((1e308, 0.0), 0.1, Color.PINK)),
+             (Pose(0.0, 0.0, 1.0, 0.0), Marker((0.0, 0.0), 1e306, Color.PINK))]
+    for drone, overflowing in cases:
+        with pytest.raises(ValueError) as raised:
+            render(drone, [overflowing], DEFAULT)
+        assert not isinstance(raised.value, GroundedError)
+        with pytest.raises(GroundedError):
+            render(drone, [overflowing, pad], DEFAULT)
+    # with every marker below the camera the first non-finite one is named
+    drone = Pose(0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="pixel radius"):
+        render(drone, [Marker((0.0, 0.0), 1e306, Color.PINK),
+                       Marker((0.0, 1e308), 1e-300, Color.PINK, 0.5)], DEFAULT)

@@ -13,7 +13,7 @@ from visnav import (Color, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
                     Phase, VelocityCommand, fly_trajectory, forward_target,
                     initial_state, make_world, offset_target, reflect_about_center,
                     reverse, run, square_trajectory, step, tick)
-from visnav.mission import build_scenario
+from visnav.mission import MAX_MISSION_TICKS, build_scenario
 
 DEFAULT = FrameSpec()
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())
@@ -200,6 +200,29 @@ def test_fly_trajectory_rejects_non_duration_segments():
     world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
     with pytest.raises(ValueError):
         fly_trajectory(traj, world, ZERO_NOISE)
+
+
+@pytest.mark.parametrize("last_end, match", [
+    (MarkerDetected(Color.PINK), "segment 1: .*Duration-terminated"),
+    (Duration(math.inf), "segment 1 takes the flight to inf ticks"),
+    (Duration(1e300), "segment 1 takes the flight to 1e\\+301 ticks"),
+    (Duration(2 * ZERO_NOISE.dt), "segment 1 takes the flight to 1e\\+06 ticks"),
+])
+def test_fly_trajectory_checks_every_segment_before_flying(last_end, match):
+    # the first segment is fine; the flight must raise before it moves the world
+    first = ImaginedSegment(PixelPoint(320, 80), Duration(999_999 * ZERO_NOISE.dt))
+    traj = ImaginedTrajectory((first, ImaginedSegment(PixelPoint(320, 80), last_end)))
+    world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=match):
+        fly_trajectory(traj, world, ZERO_NOISE)
+    assert world.steps == 0 and world.drone == Pose(0, 0, 1.0, 0.0) and world.time == 0.0
+
+
+def test_fly_trajectory_flies_a_flight_of_exactly_the_tick_budget():
+    seg = ImaginedSegment(PixelPoint(320, 180), Duration(MAX_MISSION_TICKS / 2 * ZERO_NOISE.dt))
+    world = make_world(0, drone=Pose(0, 0, 1.0, 0.0))
+    fly_trajectory(ImaginedTrajectory((seg, seg)), world, ZERO_NOISE)
+    assert world.steps == MAX_MISSION_TICKS
 
 
 def _out_and_back(shape: str, reach: float, start: tuple[float, float]) -> dict:

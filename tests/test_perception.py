@@ -216,6 +216,15 @@ def test_marker_height_validation():
             Marker((0, 0), 0.1, Color.PINK, bad)
 
 
+def test_marker_position_and_color_validation():
+    for bad in ((0.0, math.nan), (math.inf, 0.0), (0.0, 0.0, 0.0), (0.0,), ("0", 0.0), None):
+        with pytest.raises(ValueError, match="marker position"):
+            Marker(bad, 0.1, Color.PINK)
+    for bad in ("pink", 1, None):
+        with pytest.raises(ValueError, match="marker color"):
+            Marker((0, 0), 0.1, bad)
+
+
 # Scenes of 1-6 discs placed in units of the ground footprint, so they
 # overlap, repeat colors and cross the frame edges; altitudes go down to the
 # last landing ticks and radii up to discs that fill the frame; some sit
