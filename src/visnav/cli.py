@@ -11,13 +11,16 @@ Exit codes: 0 on success, 2 on configuration or input-file errors, 3 when
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (Campaign, MalformedLogError, format_summary, load_trajectory,
-                      path_spread, read_results_csv, run_campaign, summarize_results)
+from .harness import (Campaign, MalformedLogError, format_outcomes, format_summary,
+                      load_trajectory, path_spread, read_results_csv, run_campaign,
+                      summarize_results)
 from .mission import MissionKind, ScenarioError, default_scenario, load_scenario
+from .perception import ppm_size
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", type=Path, help="JSON scenario file (see README)")
     p_run.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory for results.csv and trajectories")
-    p_run.add_argument("--dump-frames", action="store_true",
-                       help="write every captured camera frame as a PPM file")
+    p_run.add_argument("--dump-frames", nargs="?", type=int, const=1, default=None,
+                       metavar="N",
+                       help="write every N-th captured camera frame (default 1: every "
+                            "frame) as a PPM file")
     p_run.add_argument("--literal-eq3", action="store_true",
                        help="drop the forward-axis sign correction in the controller "
                             "(comparison mode; the vehicle flies away from forward targets)")
@@ -71,7 +76,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, cfg=replace(scenario.cfg, gains=gains))
 
     campaign = Campaign(scenario, trials=trials, base_seed=base_seed)
-    stats = run_campaign(campaign, out_dir=args.out, dump_frames=args.dump_frames)
+    stride = 0
+    if args.dump_frames is not None:
+        stride = args.dump_frames
+        if stride < 1:
+            raise ScenarioError(f"--dump-frames stride must be >= 1, got {stride}")
+        size = ppm_size(scenario.cfg.frame)
+        per_trial = math.ceil((scenario.spec.timeout / scenario.cfg.dt + 1) / stride)
+        total = trials * per_trial * size
+        print(f"dump-frames: {size} bytes per frame, at most {trials} trials x {per_trial} "
+              f"frames = {total} bytes ({total / 1e6:.1f} MB)", file=sys.stderr)
+    stats = run_campaign(campaign, out_dir=args.out, dump_frames=stride)
 
     for rec in stats.records:
         r = rec.result
@@ -87,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     rows = read_results_csv(args.infile)
-    print(format_summary(summarize_results(rows), len(rows)), end="")
+    print(format_summary(summarize_results(rows), len(rows)) + format_outcomes(rows), end="")
     return 0
 
 

@@ -11,10 +11,13 @@ trials), so outputs are bit-identical across repeated runs.
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -104,18 +107,22 @@ def format_summary(stats: CampaignStats, trials: int) -> str:
 
 
 def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
-                 dump_frames: bool = False) -> CampaignStats:
+                 dump_frames: int = 0) -> CampaignStats:
     """Run all trials in index order and aggregate.
 
     Failures are counted and reported but excluded from the time
     statistics.  With ``out_dir`` set, writes results.csv, summary.txt and
-    trajectory_{trial}.csv per trial once every trial has run;
-    ``dump_frames`` additionally saves every captured frame under
-    trial_{trial}/ as PPM files, creating that directory at its first
-    frame.  When a trial or a write raises, every directory this call
-    created is removed, with what was written into it, before the error
-    propagates.
+    trajectory_{trial}.csv per trial once every trial has run.  A
+    ``dump_frames`` stride n >= 1 (True means 1) additionally saves every
+    n-th captured frame of a trial, from its first, under trial_{trial}/ as
+    PPM files named by step, creating that directory at its first frame;
+    0 (or False) dumps none, and a negative stride raises ValueError.
+    When a trial or a write raises, every directory this call created is
+    removed, with what was written into it, before the error propagates.
     """
+    stride = operator.index(dump_frames)
+    if stride < 0:
+        raise ValueError(f"dump_frames stride must be >= 0, got {stride}")
     out_path = Path(out_dir) if out_dir is not None else None
     created: list[Path] = []  # outermost first
 
@@ -131,10 +138,12 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
             seed = campaign.seed_for(trial)
             world = campaign.scenario.make_world(seed)
             sink = None
-            if dump_frames and out_path is not None:
-                def sink(step: int, frame, d: Path = out_path / f"trial_{trial}") -> None:
-                    make_dirs(d)
-                    write_ppm(frame, d / frame_filename(step))
+            if stride and out_path is not None:
+                def sink(step: int, frame, d: Path = out_path / f"trial_{trial}",
+                         captured: Iterator[int] = itertools.count()) -> None:
+                    if next(captured) % stride == 0:
+                        make_dirs(d)
+                        write_ppm(frame, d / frame_filename(step))
             result = run(campaign.scenario.spec, world, campaign.scenario.cfg,
                          frame_sink=sink)
             records.append(TrialRecord(trial, seed, result))
@@ -180,9 +189,34 @@ def read_results_csv(path: str | Path) -> list[dict]:
     return _read_csv(path, RESULTS_COLUMNS, "results")
 
 
+def _success_times(rows: Sequence[dict]) -> list[float]:
+    return [float(r["elapsed_s"]) for r in rows if r["outcome"] == "success"]
+
+
 def summarize_results(rows: Sequence[dict]) -> CampaignStats:
     """Recompute campaign aggregates from results.csv rows."""
-    return _aggregate([float(r["elapsed_s"]) for r in rows if r["outcome"] == "success"])
+    return _aggregate(_success_times(rows))
+
+
+#: Successful trials needed before elapsed_p95_s is reported: 5 % of them,
+#: at least 10, then lie beyond it.
+P95_MIN_SUCCESSES = 200
+
+
+def format_outcomes(rows: Sequence[dict]) -> str:
+    """The lines `visnav stats` prints after the summary: one
+    ``outcome <label>: <count>`` line per distinct outcome, in label order,
+    then the median elapsed time of the successful trials (nan when there
+    are none) and, from P95_MIN_SUCCESSES of them on, their 95th
+    percentile (linear interpolation)."""
+    counts = Counter(r["outcome"] for r in rows)
+    lines = [f"outcome {label}: {counts[label]}" for label in sorted(counts)]
+    times = _success_times(rows)
+    p50 = float(np.percentile(times, 50)) if times else float("nan")
+    lines.append(f"elapsed_p50_s: {p50}")
+    if len(times) >= P95_MIN_SUCCESSES:
+        lines.append(f"elapsed_p95_s: {float(np.percentile(times, 95))}")
+    return "".join(line + "\n" for line in lines)
 
 
 def load_trajectory(path: str | Path) -> list[TrajectoryRow]:

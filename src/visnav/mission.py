@@ -379,6 +379,10 @@ class MissionResult:
     rows: tuple[TrajectoryRow, ...]
 
 
+#: detected_color strings by detected color (None: nothing), shared by every row.
+_COLOR_NAMES = {None: "", **{c: c.name.lower() for c in Color}}
+
+
 def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
         frame_sink: Optional[Callable[[int, Frame], None]] = None) -> MissionResult:
     """Tick the mission until it succeeds, lands, fails or times out.
@@ -390,20 +394,19 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
     """
     state = initial_state(spec)
     rows: list[TrajectoryRow] = []
+    append = rows.append
+    color_names = _COLOR_NAMES
+    label_key = label = None
     while True:
         state, cmd = tick(state, spec, world, cfg)
-        rows.append(TrajectoryRow(
-            step=world.steps,
-            time_s=world.time,
-            drone_x=world.drone.x,
-            drone_y=world.drone.y,
-            drone_z=world.drone.z,
-            vel_fwd=cmd.vel_forward,
-            vel_right=cmd.vel_right,
-            fsm_state=state.label(spec),
-            detected_color=state.last_detected.name.lower() if state.last_detected else "",
-            err_px=state.last_err,
-        ))
+        # the label is a function of these three (spec is fixed for the run)
+        key = (state.phase, state.segment_index, state.fail_reason)
+        if key != label_key:
+            label_key, label = key, state.label(spec)
+        drone = world.drone
+        append(TrajectoryRow(world.steps, world.time, drone.x, drone.y, drone.z,
+                             cmd.vel_forward, cmd.vel_right, label,
+                             color_names[state.last_detected], state.last_err))
         if frame_sink is not None and state.last_frame is not None:
             frame_sink(world.steps, state.last_frame)
         if state.done:

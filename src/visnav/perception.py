@@ -268,14 +268,22 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     return Detection(color, PixelPoint(sum_cols / count, sum_rows / count), count)
 
 
+def _ppm_header(spec: FrameSpec) -> bytes:
+    return f"P6\n{spec.width} {spec.height}\n255\n".encode("ascii")
+
+
+def ppm_size(spec: FrameSpec) -> int:
+    """Bytes write_ppm writes for one frame of ``spec``: header plus 3 per pixel."""
+    return len(_ppm_header(spec)) + 3 * spec.width * spec.height
+
+
 def write_ppm(frame: Frame, path: str | Path) -> None:
     """Dump a frame as a binary PPM image using the PPM_COLORS table."""
     lut = np.zeros((256, 3), dtype=np.uint8)
     for code, rgb in PPM_COLORS.items():
         lut[code] = rgb
     rgb = lut[frame.labels]
-    header = f"P6\n{frame.spec.width} {frame.spec.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rgb.tobytes())
+    Path(path).write_bytes(_ppm_header(frame.spec) + rgb.tobytes())
 
 
 def frame_filename(step: int) -> str:

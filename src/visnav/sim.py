@@ -3,17 +3,21 @@
 Commands are achieved instantly (the platform is treated as a
 velocity-controlled body); the only stochastic effects are a per-step
 Gaussian velocity drift and a one-off takeoff position jitter.  All
-randomness flows through the PCG64 generator carried by the WorldState,
-so a given (seed, config, mission) triple replays bit-exactly.  Use
-copy.deepcopy on a WorldState to snapshot it, generator state included.
+randomness flows through the PCG64 generator of the WorldState, seeded
+from the world's seed on its first draw, so a given (seed, config,
+mission) triple replays bit-exactly and a zero-noise world never builds a
+generator.  Use copy.deepcopy on a WorldState to snapshot it: the copy
+carries the generator state once the world has drawn, and otherwise the
+seed it will draw from.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,33 +86,49 @@ class SimConfig:
                            tuple((float(x), float(y)) for x, y in self.carrier_waypoints))
 
 
-@dataclass
+@dataclass(eq=False)
 class WorldState:
-    """Mutable world snapshot: poses, markers, clock and RNG state."""
+    """Mutable world snapshot: poses, markers, clock, seed and RNG state.
+
+    ``rng`` is built from ``seed`` on first access, by the first noise draw
+    (takeoff jitter in mission.tick, drift in step), and is the same stream
+    ``np.random.default_rng(seed)`` gives.  A world that never draws never
+    builds one.  copy.deepcopy snapshots the generator state once it is
+    built; before that the copy holds only the seed, so it draws the same
+    stream.  Worlds compare by identity.
+    """
 
     drone: Pose
     carrier: Pose
     markers: tuple[Marker, ...]
-    rng: np.random.Generator
+    seed: int
     steps: int = 0
     time: float = 0.0
     carrier_wp_index: int = 0
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
 
 
 def make_world(seed: int, markers: Sequence[Marker] = (),
                drone: Optional[Pose] = None,
                carrier: Optional[Pose] = None) -> WorldState:
-    """Fresh world with a PCG64 generator seeded from a 64-bit integer.
+    """Fresh world whose PCG64 generator is seeded from ``seed`` on its
+    first draw; a zero-noise world never builds one.
 
-    The carrier defaults to the drone's planar position (the vehicle
-    starts sitting on it).
+    ``seed`` is checked here, without touching numpy: TypeError unless it
+    is an integer, ValueError when it is negative.  The carrier defaults to
+    the drone's planar position (the vehicle starts sitting on it).
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if drone is None:
         drone = Pose(0.0, 0.0, 0.0, 0.0)
     if carrier is None:
         carrier = Pose(drone.x, drone.y, 0.0, 0.0)
-    return WorldState(drone=drone, carrier=carrier, markers=tuple(markers),
-                      rng=np.random.default_rng(seed))
+    return WorldState(drone=drone, carrier=carrier, markers=tuple(markers), seed=seed)
 
 
 def step(world: WorldState, cmd: VelocityCommand, cfg: SimConfig,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -105,6 +106,34 @@ def test_run_dump_frames(tmp_path):
     assert frames[0].name == "frame_000000.ppm"
 
 
+def test_dump_frames_stride_writes_every_nth_captured_frame(tmp_path, capsys):
+    # a forward search with no marker to find captures a frame on every
+    # tick after the 2 s climb, until the 6 s timeout
+    cfg = write_config(tmp_path, task="forward", markers=[], timeout_s=6.0)
+    every = []
+    for n in (1, 3, 4):
+        out = tmp_path / f"out{n}"
+        assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out),
+                     "--dump-frames", str(n)]) == 0
+        names = sorted(p.name for p in (out / "trial_0").iterdir())
+        every = every or names
+        assert len(names) == math.ceil(len(every) / n)
+        assert names == every[::n]
+        # 64x36 frames of 6925 bytes, at most ceil((6 / 0.1 + 1) / n) per trial
+        assert f"6925 bytes per frame, at most 1 trials x {math.ceil(61 / n)} frames" \
+            in capsys.readouterr().err
+    assert len(every) == 39
+
+
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_dump_frames_stride_below_one_exits_2(tmp_path, capsys, stride):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--dump-frames", stride]) == 2
+    assert "--dump-frames stride must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--task", "track", "--trials", "3", "--out", str(out)])
@@ -154,7 +183,19 @@ def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
         assert main(["spread", "--in", str(out / f"trajectory_{trial}.csv")]) == 0
         assert capsys.readouterr().out.startswith("path_spread_m:")
     assert main(["stats", "--in", str(out / "results.csv")]) == 0
-    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+    text = capsys.readouterr().out
+    summary = (out / "summary.txt").read_text()
+    assert text.startswith(summary)
+    with open(out / "results.csv", newline="") as fh:
+        results = list(csv.DictReader(fh))
+    outcomes = sorted({r["outcome"] for r in results})
+    times = sorted(float(r["elapsed_s"]) for r in results if r["outcome"] == "success")
+    *counts, p50 = text[len(summary):].splitlines()
+    assert counts == [f"outcome {o}: {sum(r['outcome'] == o for r in results)}"
+                      for o in outcomes]
+    assert p50.startswith("elapsed_p50_s: ")
+    assert float(p50.split(": ")[1]) == pytest.approx(
+        (times[0] + times[-1]) / 2 if times else math.nan, nan_ok=True)
 
 
 def test_noisy_poses_stay_python_floats():

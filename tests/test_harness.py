@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from visnav import (Campaign, InsufficientDataError, MalformedLogError, MissionResult,
                     NoiseModel, Pose, TrajectoryRow, TrialRecord, default_scenario,
                     path_spread, run, run_campaign, sample_stats)
-from visnav.harness import (format_summary, load_trajectory, read_results_csv,
-                            summarize_results, write_results_csv)
+from visnav.harness import (P95_MIN_SUCCESSES, format_outcomes, format_summary,
+                            load_trajectory, read_results_csv, summarize_results,
+                            write_results_csv)
 
 
 def test_sample_stats_known_values():
@@ -142,6 +143,29 @@ def test_failed_trials_counted_but_excluded(tmp_path):
     assert all(r["outcome"] == "failed:timeout" for r in rows)
 
 
+def test_failed_trials_show_in_the_outcome_lines():
+    rows = [{"outcome": "failed:timeout", "elapsed_s": "1.0"}] * 3
+    assert format_outcomes(rows) == "outcome failed:timeout: 3\nelapsed_p50_s: nan\n"
+
+
+@pytest.mark.parametrize("successes", [P95_MIN_SUCCESSES - 1, P95_MIN_SUCCESSES])
+def test_elapsed_p95_needs_ten_successes_beyond_it(successes):
+    rows = [{"outcome": "success", "elapsed_s": repr(0.1 * k)} for k in range(successes)]
+    rows += [{"outcome": "failed:search_exhausted", "elapsed_s": "0.0"},
+             {"outcome": "failed:timeout", "elapsed_s": "120.0"}]
+    lines = format_outcomes(rows).splitlines()
+    times = np.array([0.1 * k for k in range(successes)])
+    assert lines[:4] == ["outcome failed:search_exhausted: 1", "outcome failed:timeout: 1",
+                         f"outcome success: {successes}",
+                         f"elapsed_p50_s: {float(np.percentile(times, 50))}"]
+    if successes < P95_MIN_SUCCESSES:
+        assert len(lines) == 4
+    else:
+        p95 = float(np.percentile(times, 95))
+        assert lines[4:] == [f"elapsed_p95_s: {p95}"]
+        assert (times > p95).sum() == 10
+
+
 def test_path_spread_zero_noise_is_flat():
     sc = default_scenario("return", noise=NoiseModel.zero())
     result = run(sc.spec, sc.make_world(0), sc.cfg)
@@ -195,6 +219,8 @@ def test_campaign_validation():
         Campaign(sc, trials=0)
     with pytest.raises(ValueError, match="base_seed"):
         Campaign(sc, base_seed=-1)
+    with pytest.raises(ValueError, match="dump_frames stride"):
+        run_campaign(Campaign(sc, trials=1), dump_frames=-1)
 
 
 def test_failed_trial_removes_every_directory_the_campaign_created(tmp_path, monkeypatch):

@@ -3,13 +3,15 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, ControllerGains, GroundedError, Marker,
-                    NoiseModel, Pose, SimConfig, TrajectoryRow, VelocityCommand,
-                    capture, detect, make_world, step, write_trajectory_csv)
+from visnav import (Color, ControllerGains, Duration, GroundedError, ImaginedSegment,
+                    ImaginedTrajectory, Marker, NoiseModel, PixelPoint, Pose, SimConfig,
+                    TrajectoryRow, VelocityCommand, capture, default_scenario, detect,
+                    fly_trajectory, make_world, run, step, write_trajectory_csv)
 from visnav.harness import load_trajectory
 
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())
@@ -69,6 +71,51 @@ def test_deepcopy_snapshot_replays():
     a = [step(world, VelocityCommand(0.0, 0.05), cfg).drone for _ in range(20)]
     b = [step(snap, VelocityCommand(0.0, 0.05), cfg).drone for _ in range(20)]
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**128), shapes=st.lists(
+    st.tuples(st.integers(0, 6)) | st.tuples(st.integers(0, 6), st.integers(1, 3)),
+    min_size=1, max_size=4))
+def test_the_lazy_generator_draws_the_default_rng_stream(seed, shapes):
+    world = make_world(seed)
+    reference = np.random.default_rng(seed)
+    for shape in shapes:
+        assert world.rng.normal(0.0, 0.5, shape).tolist() == \
+            reference.normal(0.0, 0.5, shape).tolist()
+    assert world.rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_a_snapshot_before_the_first_draw_replays():
+    cfg = SimConfig(noise=NoiseModel(drift_std=0.02, takeoff_jitter_std=0.0))
+    world = airborne_world(seed=9)
+    snap = copy.deepcopy(world)
+    assert "rng" not in vars(snap) and snap != world   # worlds compare by identity
+    a = [step(world, VelocityCommand(0.05, 0.01), cfg).drone for _ in range(20)]
+    b = [step(snap, VelocityCommand(0.05, 0.01), cfg).drone for _ in range(20)]
+    assert repr(a) == repr(b)
+    assert world.rng.bit_generator.state == snap.rng.bit_generator.state
+
+
+def test_zero_noise_flights_never_build_a_generator():
+    traj = ImaginedTrajectory((ImaginedSegment(PixelPoint(320.0, 80.0), Duration(1.0)),))
+    world = airborne_world(seed=4)
+    fly_trajectory(traj, world, ZERO_NOISE)
+    assert world.steps == 10 and "rng" not in vars(world)
+    scenario = default_scenario("return", noise=NoiseModel.zero())
+    world = scenario.make_world(4)
+    assert run(scenario.spec, world, scenario.cfg).success
+    assert "rng" not in vars(world)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
+                                         ("3", TypeError)])
+def test_a_bad_seed_is_rejected_before_any_flight(seed, error):
+    with pytest.raises(error):
+        make_world(seed)
+    scenario = default_scenario("return")
+    with pytest.raises(error):
+        scenario.make_world(seed)
 
 
 def test_zero_noise_exactness_over_thousand_steps():
