@@ -64,7 +64,6 @@ _RETURNING_KINDS = (MissionKind.SEARCH_RETURN_LAND, MissionKind.CARRIER_COORDINA
 
 
 class Phase(Enum):
-    ON_CARRIER = "on_carrier"
     TAKING_OFF = "taking_off"
     SEARCHING = "searching"
     SERVOING = "servoing"
@@ -78,7 +77,6 @@ class Phase(Enum):
 
 #: Legal phase changes.  Self-loops are implicit and any phase may fail.
 TRANSITIONS = frozenset({
-    (Phase.ON_CARRIER, Phase.TAKING_OFF),
     (Phase.TAKING_OFF, Phase.SEARCHING),
     (Phase.SEARCHING, Phase.SERVOING),
     (Phase.SERVOING, Phase.SEARCHING),        # detection lost too long
@@ -91,7 +89,7 @@ TRANSITIONS = frozenset({
 
 
 class AbsorbingStateError(RuntimeError):
-    """tick() called on a mission that already Landed or Failed."""
+    """tick() called on a mission that is already done: succeeded or failed."""
 
 
 class ScenarioError(ValueError):
@@ -125,17 +123,13 @@ class MissionState:
     segment_index: int = 0
     fail_reason: Optional[str] = None
     log: MotionLog = field(default_factory=MotionLog)
-    elapsed: float = 0.0
     ticks: int = 0
     succeeded: bool = False
     # bookkeeping
-    segment_ticks: int = 0
+    count: int = 0  # the phase's one counter, zeroed by _enter; see _act
+    leg: Optional[ImaginedTrajectory] = None  # flown while searching or reversing
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
     segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
-    hover_elapsed: float = 0.0
-    land_streak: int = 0
-    lost_ticks: int = 0
-    reversal: Optional[ImaginedTrajectory] = None
     # outputs of the latest tick, consumed by run()
     last_detected: Optional[Color] = None
     last_err: Optional[float] = None
@@ -164,10 +158,10 @@ class MissionState:
 
 def initial_state(spec: MissionSpec) -> MissionState:
     """TRACK_VISIBLE starts airborne and servoing; the rest start on the
-    carrier and take off first."""
+    carrier, taking off."""
     if spec.kind is MissionKind.TRACK_VISIBLE:
         return MissionState(phase=Phase.SERVOING)
-    return MissionState(phase=Phase.ON_CARRIER)
+    return MissionState(phase=Phase.TAKING_OFF)
 
 
 #: Phases that watch the search color (the rest watch the home color) and
@@ -178,9 +172,15 @@ _OUTBOUND_PHASES = (Phase.SEARCHING, Phase.SERVOING, Phase.HOVERING_ON_TARGET)
 _Action = tuple[Optional[PixelPoint], VelocityCommand]
 
 
-def _fail(state: MissionState, reason: str) -> _Action:
-    state.phase = Phase.FAILED
+def _enter(state: MissionState, phase: Phase, reason: Optional[str] = None) -> None:
+    """The one phase change: every phase starts with its counter at zero."""
+    state.phase = phase
     state.fail_reason = reason
+    state.count = 0
+
+
+def _fail(state: MissionState, reason: str) -> _Action:
+    _enter(state, Phase.FAILED, reason)
     return None, ZERO_COMMAND
 
 
@@ -205,22 +205,22 @@ def _landing_gains(gains: ControllerGains) -> ControllerGains:
     return replace(gains, hover_threshold=LAND_THRESHOLD_PX)
 
 
-def _enter_segment(state: MissionState, leg: ImaginedTrajectory, index: int,
-                   world: WorldState, cfg: SimConfig) -> None:
-    """Start segment ``index`` of ``leg`` from the current pose.  An imagined
+def _enter_segment(state: MissionState, index: int, world: WorldState,
+                   cfg: SimConfig) -> None:
+    """Start segment ``index`` of the leg from the current pose.  An imagined
     target keeps its offset from the frame center, so the segment's error
     norm and command are fixed here."""
     state.segment_index = index
-    state.segment_ticks = 0
+    state.count = 0
     state.segment_start_xy = (world.drone.x, world.drone.y)
-    state.segment_command = _command(leg.segments[index].target, cfg.gains, cfg.frame)
+    state.segment_command = _command(state.leg.segments[index].target, cfg.gains, cfg.frame)
 
 
-def _fly(state: MissionState, leg: ImaginedTrajectory) -> _Action:
-    """One tick of the current segment of ``leg``."""
-    state.segment_ticks += 1
+def _fly(state: MissionState) -> _Action:
+    """One tick of the current segment of the leg."""
+    state.count += 1
     state.last_err, cmd = state.segment_command
-    return leg.segments[state.segment_index].target, cmd
+    return state.leg.segments[state.segment_index].target, cmd
 
 
 def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldState,
@@ -232,7 +232,7 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
         return rule.color is not absent and \
             detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
-        return state.segment_ticks >= _duration_ticks(rule, cfg.dt)
+        return state.count >= _duration_ticks(rule, cfg.dt)
     if isinstance(rule, Distance):
         sx, sy = state.segment_start_xy
         moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
@@ -249,10 +249,11 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
     touchdown; all other motion goes through sim.step, driven by the
     returned command and state.climb_rate(cfg).
 
-    Raises AbsorbingStateError when called after Landed or Failed.
+    Raises AbsorbingStateError once the mission is done: it succeeded
+    (landed, or finished a track or forward hover) or failed.
     """
-    if state.phase in (Phase.LANDED, Phase.FAILED):
-        raise AbsorbingStateError(f"mission already {state.phase.value}")
+    if state.done:
+        raise AbsorbingStateError(f"mission already done: {state.label(spec)}")
 
     state.last_detected = state.last_err = state.last_frame = None
     sigma = cfg.noise.takeoff_jitter_std
@@ -266,43 +267,45 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
         if last and last.target == target and last.command == cmd:  # the stretch goes on
             state.log.entries[-1] = LogEntry(last.timestamp, cmd, last.duration + cfg.dt, target)
         else:
-            state.log.append(state.elapsed, cmd, cfg.dt, target)
+            state.log.append(state.ticks * cfg.dt, cmd, cfg.dt, target)
 
     state.ticks += 1
-    state.elapsed = state.ticks * cfg.dt
     return state, cmd
 
 
 def _act(state: MissionState, spec: MissionSpec, world: WorldState,
          cfg: SimConfig) -> _Action:
-    """Fire at most one phase change and choose this tick's command."""
+    """Fire at most one phase change and choose this tick's command.
+
+    state.count is the phase's one counter: segment ticks (searching,
+    reversing), missed ticks in a row (servoing), ticks hovered, and
+    centered ticks in a row (servoing_home)."""
     phase = state.phase
     # steps that act without looking
-    if state.elapsed >= spec.timeout:
+    if state.ticks * cfg.dt >= spec.timeout:
         return _fail(state, "timeout")
-    if phase is Phase.ON_CARRIER or (
-            phase is Phase.TAKING_OFF and world.drone.z < cfg.altitude - _ALTITUDE_EPS):
-        state.phase = Phase.TAKING_OFF
-        return None, ZERO_COMMAND
     if phase is Phase.TAKING_OFF:
+        if state.ticks == 0 or world.drone.z < cfg.altitude - _ALTITUDE_EPS:
+            return None, ZERO_COMMAND  # liftoff, then the climb
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
-        state.phase = Phase.SEARCHING
-        _enter_segment(state, spec.trajectory, 0, world, cfg)
-        return _fly(state, spec.trajectory)
-    if phase is Phase.HOVERING_ON_TARGET and state.hover_elapsed >= HOVER_DWELL_S - 1e-9:
+        _enter(state, Phase.SEARCHING)
+        state.leg = spec.trajectory
+        _enter_segment(state, 0, world, cfg)
+        return _fly(state)
+    if phase is Phase.HOVERING_ON_TARGET and state.count * cfg.dt >= HOVER_DWELL_S - 1e-9:
         if spec.kind not in _RETURNING_KINDS:
             state.succeeded = True  # and hold over the marker for this last tick
         else:
             try:
-                state.reversal = reverse(state.log, cfg.frame)
+                state.leg = reverse(state.log, cfg.frame)
             except EmptyLogError:
                 return _fail(state, "reversal_unavailable")
-            state.phase = Phase.REVERSING
-            _enter_segment(state, state.reversal, 0, world, cfg)
-            return _fly(state, state.reversal)
+            _enter(state, Phase.REVERSING)
+            _enter_segment(state, 0, world, cfg)
+            return _fly(state)
     if phase is Phase.LANDING and world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
         world.drone = replace(world.drone, z=cfg.carrier_height)
-        state.phase = Phase.LANDED
+        _enter(state, Phase.LANDED)
         state.succeeded = True
         return None, ZERO_COMMAND
 
@@ -311,7 +314,7 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
     frame = state.last_frame = capture(world, cfg)
     det = detect(frame, watched, cfg.min_blob_size)
     if phase is Phase.HOVERING_ON_TARGET:
-        state.hover_elapsed += cfg.dt
+        state.count += 1
     if det is None:
         return _on_miss(state, spec, world, frame, watched, cfg)
     return _on_hit(state, det, cfg)
@@ -324,23 +327,22 @@ def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: F
     fails once its last segment has expired."""
     phase = state.phase
     if phase is Phase.SEARCHING or phase is Phase.REVERSING:
-        leg = spec.trajectory if phase is Phase.SEARCHING else state.reversal
-        i = state.segment_index
-        if _segment_expired(state, leg.segments[i], world, frame, watched, cfg):
-            if i + 1 == len(leg.segments):
+        segments, i = state.leg.segments, state.segment_index
+        if _segment_expired(state, segments[i], world, frame, watched, cfg):
+            if i + 1 == len(segments):
                 return _fail(state, "search_exhausted" if phase is Phase.SEARCHING
                              else "return_exhausted")
-            _enter_segment(state, leg, i + 1, world, cfg)
-        return _fly(state, leg)
+            _enter_segment(state, i + 1, world, cfg)
+        return _fly(state)
     elif phase is Phase.SERVOING:
-        state.lost_ticks += 1
-        if spec.trajectory is not None and state.lost_ticks > LOST_PATIENCE_TICKS:
+        state.count += 1
+        if spec.trajectory is not None and state.count > LOST_PATIENCE_TICKS:
             # resume the interrupted search segment from the current pose
-            state.phase = Phase.SEARCHING
-            state.lost_ticks = 0
-            _enter_segment(state, spec.trajectory, state.segment_index, world, cfg)
+            _enter(state, Phase.SEARCHING)
+            state.leg = spec.trajectory  # a track mission has flown none yet
+            _enter_segment(state, state.segment_index, world, cfg)
     elif phase is Phase.SERVOING_HOME:
-        state.land_streak = 0
+        state.count = 0
     return None, ZERO_COMMAND
 
 
@@ -352,20 +354,17 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     gains = _landing_gains(cfg.gains) if landing else cfg.gains
     state.last_err, cmd = _command(det.center, gains, cfg.frame)
     if phase is Phase.SEARCHING:
-        state.phase = Phase.SERVOING
-        state.lost_ticks = 0
+        _enter(state, Phase.SERVOING)
     elif phase is Phase.SERVOING:
-        state.lost_ticks = 0
+        state.count = 0
         if cmd.hovering:
-            state.phase = Phase.HOVERING_ON_TARGET
-            state.hover_elapsed = 0.0
+            _enter(state, Phase.HOVERING_ON_TARGET)
     elif phase is Phase.REVERSING:
-        state.phase = Phase.SERVOING_HOME
-        state.land_streak = 0
+        _enter(state, Phase.SERVOING_HOME)
     elif phase is Phase.SERVOING_HOME:
-        state.land_streak = state.land_streak + 1 if cmd.hovering else 0
-        if state.land_streak >= LAND_DWELL_TICKS:
-            state.phase = Phase.LANDING
+        state.count = state.count + 1 if cmd.hovering else 0
+        if state.count >= LAND_DWELL_TICKS:
+            _enter(state, Phase.LANDING)
     return det.center, cmd
 
 
@@ -416,7 +415,7 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
     return MissionResult(
         success=state.succeeded,
         outcome=outcome,
-        elapsed_s=state.elapsed,
+        elapsed_s=state.ticks * cfg.dt,
         ticks=state.ticks,
         final_pose=world.drone,
         rows=tuple(rows),
@@ -555,32 +554,62 @@ def _parse_color(name: str) -> Color:
                             + ", ".join(c.name.lower() for c in Color)) from None
 
 
+def _object(where: str, node, known: tuple[str, ...]) -> dict:
+    """A config JSON object, rejected, naming the key, when it holds a key
+    outside ``known``: a misspelt key would fall back to its default."""
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
+    for key in node:
+        if key not in known:
+            raise ScenarioError(f"unknown {where} key {key!r}; known: {', '.join(known)}")
+    return node
+
+
+def _typed(where: str, node, fields: dict[str, tuple[str, ...]],
+           default: Optional[str]) -> str:
+    """The "type" of a config object (``default`` when absent), one of
+    ``fields``' keys; besides "type" the object may hold only the keys
+    that type lists."""
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
+    kind = node.get("type", default)
+    if not isinstance(kind, str) or kind not in fields:
+        raise ScenarioError(f"unknown {where} type {kind!r}")
+    _object(f"{kind} {where}", node, ("type", *fields[kind]))
+    return kind
+
+
+def _parse_marker(node) -> Marker:
+    m = _object("marker", node, ("x", "y", "radius", "color"))
+    return Marker((_number("x", m["x"]), _number("y", m["y"])),
+                  _number("radius", m["radius"]), _parse_color(m["color"]))
+
+
 def _parse_termination(node: dict):
-    kind = node.get("type")
+    kind = _typed("termination", node,
+                  {"marker": ("color",), "duration": ("seconds",), "distance": ("meters",)}, None)
     if kind == "marker":
         return MarkerDetected(_parse_color(node["color"]))
     if kind == "duration":
         return Duration(_number("seconds", node["seconds"]))
-    if kind == "distance":
-        return Distance(_number("meters", node["meters"]))
-    raise ScenarioError(f"unknown termination type {kind!r}")
+    return Distance(_number("meters", node["meters"]))
 
 
 def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> ImaginedTrajectory:
-    kind = node.get("type", "forward")
+    kind = _typed("trajectory", node, {"forward": (), "square": ("side_duration_s", "offset_px"),
+                                       "segments": ("segments",)}, "forward")
     if kind == "forward":
         return forward_search_trajectory(frame, search_color)
     if kind == "square":
         return square_trajectory(frame, _number("side_duration_s", node["side_duration_s"]),
                                  _number("offset_px", node.get("offset_px", 100.0)))
-    if kind == "segments":
-        segs = []
-        for s in node["segments"]:
-            tx, ty = _finite_pair("target", s["target"])
-            segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
-                                        _parse_termination(s["until"])))
-        return ImaginedTrajectory(tuple(segs))
-    raise ScenarioError(f"unknown trajectory type {kind!r}")
+    segs = []
+    for s in node["segments"]:
+        _object("segment", s, ("target", "until"))
+        tx, ty = _finite_pair("target", s["target"])
+        segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
+                                    _parse_termination(s["until"])))
+    return ImaginedTrajectory(tuple(segs))
 
 
 def _finite_pair(key: str, value) -> tuple[float, float]:
@@ -631,7 +660,8 @@ def load_scenario(path: str | Path) -> Scenario:
 def build_scenario(data: dict) -> Scenario:
     """Build a Scenario from a config tree.
 
-    Schema (all keys optional except "task")::
+    Schema (all keys optional except "task"; a key it does not name is
+    rejected)::
 
         {
           "task": "track" | "forward" | "return" | "coordination",
@@ -662,6 +692,9 @@ def build_scenario(data: dict) -> Scenario:
           }
         }
     """
+    _object("config", data, ("task", "search_color", "home_color", "timeout_s", "trials",
+                             "base_seed", "markers", "drone_start", "carrier_start",
+                             "trajectory", "sim"))
     try:
         task = data["task"]
     except KeyError:
@@ -701,10 +734,7 @@ def build_scenario(data: dict) -> Scenario:
 
         markers = base.markers
         if "markers" in data:
-            markers = tuple(
-                Marker((_number("x", m["x"]), _number("y", m["y"])),
-                       _number("radius", m["radius"]), _parse_color(m["color"]))
-                for m in data["markers"])
+            markers = tuple(_parse_marker(m) for m in data["markers"])
         drone_start = _finite_pair("drone_start", data["drone_start"]) \
             if "drone_start" in data else base.drone_start
         carrier_start = _finite_pair("carrier_start", data["carrier_start"]) \

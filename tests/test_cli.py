@@ -295,6 +295,36 @@ def test_run_that_fails_in_a_trial_leaves_an_existing_out_directory_as_it_was(tm
     assert (out / "notes.txt").read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("message, config", [
+    ("unknown config key 'timeot_s'", {"task": "forward", "timeot_s": 5}),
+    ("unknown marker key 'hieght'",
+     {"task": "track",
+      "markers": [{"x": 0.3, "y": 0.2, "radius": 0.06, "color": "pink", "hieght": 1.0}]}),
+    ("unknown square trajectory key 'ofset_px'",
+     {"task": "forward", "trajectory": {"type": "square", "side_duration_s": 4.0,
+                                        "ofset_px": 50}}),
+    ("unknown forward trajectory key 'side_duration_s'",
+     {"task": "forward", "trajectory": {"side_duration_s": 4.0}}),
+    ("unknown segments trajectory key 'segment'",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [], "segment": []}}),
+    ("unknown segment key 'untill'",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [
+         {"target": [320, 80], "untill": {"type": "duration", "seconds": 5.0}}]}}),
+    ("unknown duration termination key 'color'",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [
+         {"target": [320, 80], "until": {"type": "duration", "seconds": 5.0,
+                                         "color": "pink"}}]}}),
+])
+def test_run_rejects_unknown_config_keys(tmp_path, capsys, message, config):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("trials", 2.7), ("base_seed", "0")])
 def test_run_rejects_non_integer_trials_and_seed(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})

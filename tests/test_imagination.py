@@ -78,7 +78,7 @@ def test_return_log_holds_one_entry_per_stretch_of_constant_command():
     first, second = state.log.entries[:2]
     assert first.target == forward_target(DEFAULT) != second.target
     assert first.duration == pytest.approx(searching * sc.cfg.dt, rel=1e-12)
-    assert [(s.target, s.terminate_on) for s in reversed(state.reversal.segments)] == [
+    assert [(s.target, s.terminate_on) for s in reversed(state.leg.segments)] == [
         (reflect_about_center(e.target, DEFAULT), Duration(e.duration))
         for e in state.log.entries]
 

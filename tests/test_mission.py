@@ -117,6 +117,23 @@ def test_tick_after_failed_raises():
         tick(state, spec, world, sc.cfg)
 
 
+@pytest.mark.parametrize("task", ["track", "forward"])
+def test_tick_after_a_finished_hover_raises(task):
+    # a track or forward mission succeeds on the last tick of its hover
+    from visnav import step
+    sc = default_scenario(task)
+    world = sc.make_world(1)
+    state = initial_state(sc.spec)
+    while not state.done:
+        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
+    assert state.succeeded and state.phase is Phase.HOVERING_ON_TARGET
+    ticks = state.ticks
+    with pytest.raises(AbsorbingStateError, match="hovering_on_target"):
+        tick(state, sc.spec, world, sc.cfg)
+    assert state.ticks == ticks
+
+
 def test_timeout_outcome_is_reported():
     cfg = SimConfig(noise=ZERO_NOISE)
     spec = MissionSpec(MissionKind.FORWARD_SEARCH_HOVER, search_color=Color.RED,
@@ -154,6 +171,19 @@ def test_hover_fixed_point_zero_noise():
     assert len({(r.drone_x, r.drone_y) for r in hover_rows}) == 1
 
 
+@pytest.mark.parametrize("task", ["track", "forward"])
+@pytest.mark.parametrize("dt, hover_rows", [(0.1, 12), (0.3, 6), (0.07, 17)])
+def test_hover_ends_on_the_first_tick_at_or_past_the_dwell(task, dt, hover_rows):
+    # the tick that starts the hover, then one per dt until 1 s is hovered
+    # (to 1e-9), and the last tick, which holds: 1 + ceil(1 / dt) + 1 rows
+    from visnav.mission import build_scenario
+    sc = build_scenario({"task": task, "sim": {
+        "dt": dt, "noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert result.success
+    assert sum(r.fsm_state == "hovering_on_target" for r in result.rows) == hover_rows
+
+
 def test_elapsed_is_tick_count_times_dt():
     sc = zero_noise_scenario("forward")
     result = run(sc.spec, sc.make_world(0), sc.cfg)
@@ -179,6 +209,17 @@ def test_lost_detection_reverts_to_search_segment():
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     assert transitions[-1] is Phase.SEARCHING
     assert Phase.SERVOING in transitions[:-1]
+
+
+def test_track_mission_given_a_trajectory_searches_it_once_the_marker_is_lost():
+    # nothing in view: ten lost ticks of servoing, then the search flies the
+    # spec's trajectory from its first segment until that runs out
+    cfg = SimConfig(noise=ZERO_NOISE)
+    spec = MissionSpec(MissionKind.TRACK_VISIBLE, trajectory=square_trajectory(cfg.frame, 1.0))
+    result = run(spec, Scenario(spec, cfg).make_world(0), cfg)
+    labels = [r.fsm_state for r in result.rows]
+    assert labels[:11] == ["servoing:pink"] * 10 + ["searching:0"]
+    assert (result.outcome, result.ticks) == ("failed:search_exhausted", 52)
 
 
 @pytest.mark.parametrize("task", ["forward", "return"])
@@ -413,6 +454,10 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"markers": []}),                       # missing task
     json.dumps({"task": "forward", "search_color": "mauve"}),
     json.dumps({"task": "forward", "trajectory": {"type": "spiral"}}),
+    json.dumps({"task": "forward", "trajectory": 5}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": "pink"}]}}),
+    json.dumps({"task": "track", "markers": [{}]}),
     json.dumps({"task": "forward", "sim": {"dt": -1.0}}),
     json.dumps({"task": "forward", "trials": 2.7}),
     json.dumps({"task": "forward", "trials": True}),
@@ -496,7 +541,7 @@ def test_exhausted_return_replay_fails():
         state, cmd = tick(state, sc.spec, world, sc.cfg)
         rows.append((state.label(sc.spec), cmd))
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
-    n = len(state.reversal.segments)
+    n = len(state.leg.segments)
     assert rows[-2][0] == f"reversing:{n - 1}"
     assert rows[-1] == ("failed:return_exhausted", ZERO_COMMAND)
     assert (len(rows), n) == (758, 88)
