@@ -173,19 +173,30 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
 
 
 def _read_csv(path: str | Path, columns: Sequence[str], what: str) -> list[dict]:
-    """Rows of a CSV file as dicts; raises MalformedLogError when the header
-    lacks any of ``columns``."""
+    """Rows of a CSV file as dicts keyed by its header; raises
+    MalformedLogError when the header lacks any of ``columns`` or a row has
+    more or fewer fields than the header (blank lines are skipped)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(columns) - set(header)
         if missing:
             raise MalformedLogError(f"{what} file missing columns: {sorted(missing)}")
-        return list(reader)
+        rows = []
+        for fields in reader:
+            if len(fields) != len(header):
+                if not fields:
+                    continue
+                raise MalformedLogError(
+                    f"{what} file line {reader.line_num}: {len(fields)} fields, "
+                    f"the header has {len(header)}")
+            rows.append(dict(zip(header, fields)))
+        return rows
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
     """Rows of a results.csv as dicts; raises MalformedLogError when the
-    header lacks required columns."""
+    header lacks required columns or a row's field count differs from it."""
     return _read_csv(path, RESULTS_COLUMNS, "results")
 
 
@@ -223,7 +234,7 @@ def load_trajectory(path: str | Path) -> list[TrajectoryRow]:
     """Read a trajectory CSV back into rows.
 
     Raises MalformedLogError when the header is missing any canonical
-    column.
+    column or a row's field count differs from the header's.
     """
     return [TrajectoryRow(
         step=int(raw["step"]),

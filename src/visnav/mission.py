@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -111,8 +110,10 @@ class MissionSpec:
             raise ScenarioError("timeout must be positive and finite")
         if self.kind in _RETURNING_KINDS and self.home_color is None:
             raise ScenarioError(f"{self.kind.value} missions need a home_color")
-        if self.kind is not MissionKind.TRACK_VISIBLE and self.trajectory is None:
-            raise ScenarioError(f"{self.kind.value} missions need a search trajectory")
+        track = self.kind is MissionKind.TRACK_VISIBLE
+        if track != (self.trajectory is None):
+            raise ScenarioError("track missions take no search trajectory" if track
+                                else f"{self.kind.value} missions need a search trajectory")
 
 
 @dataclass
@@ -120,8 +121,8 @@ class MissionState:
     """Mutable FSM state plus per-phase bookkeeping; owned by one loop."""
 
     phase: Phase
+    label: str  # fsm_state of the trajectory log, written at each phase or segment change
     segment_index: int = 0
-    fail_reason: Optional[str] = None
     log: MotionLog = field(default_factory=MotionLog)
     ticks: int = 0
     succeeded: bool = False
@@ -145,23 +146,17 @@ class MissionState:
             return cfg.climb_rate
         return -cfg.descent_rate if self.phase is Phase.LANDING else 0.0
 
-    def label(self, spec: MissionSpec) -> str:
-        """Canonical state string used in trajectory logs."""
-        if self.phase is Phase.SEARCHING or self.phase is Phase.REVERSING:
-            return f"{self.phase.value}:{self.segment_index}"
-        if self.phase is Phase.SERVOING:
-            return f"{self.phase.value}:{spec.search_color.name.lower()}"
-        if self.phase is Phase.FAILED and self.fail_reason:
-            return f"{self.phase.value}:{self.fail_reason}"
-        return self.phase.value
-
 
 def initial_state(spec: MissionSpec) -> MissionState:
     """TRACK_VISIBLE starts airborne and servoing; the rest start on the
     carrier, taking off."""
     if spec.kind is MissionKind.TRACK_VISIBLE:
-        return MissionState(phase=Phase.SERVOING)
-    return MissionState(phase=Phase.TAKING_OFF)
+        return MissionState(Phase.SERVOING, f"servoing:{_COLOR_NAMES[spec.search_color]}")
+    return MissionState(Phase.TAKING_OFF, Phase.TAKING_OFF.value)
+
+
+#: Color names as logged: a row's detected_color (None: nothing) and a servoing label's.
+_COLOR_NAMES = {None: "", **{c: c.name.lower() for c in Color}}
 
 
 #: Phases that watch the search color (the rest watch the home color) and
@@ -172,10 +167,12 @@ _OUTBOUND_PHASES = (Phase.SEARCHING, Phase.SERVOING, Phase.HOVERING_ON_TARGET)
 _Action = tuple[Optional[PixelPoint], VelocityCommand]
 
 
-def _enter(state: MissionState, phase: Phase, reason: Optional[str] = None) -> None:
-    """The one phase change: every phase starts with its counter at zero."""
+def _enter(state: MissionState, phase: Phase, detail: str | int | None = None) -> None:
+    """The one phase change: every phase starts with its counter at zero and
+    its label, ``phase`` or ``phase:detail`` (a failure reason, the servoed
+    color or a segment index)."""
     state.phase = phase
-    state.fail_reason = reason
+    state.label = phase.value if detail is None else f"{phase.value}:{detail}"
     state.count = 0
 
 
@@ -199,19 +196,13 @@ def _duration_ticks(rule: Duration, dt: float) -> float:
     return max(1, round(n)) if n < math.inf else n
 
 
-@lru_cache(maxsize=16)
-def _landing_gains(gains: ControllerGains) -> ControllerGains:
-    """The gains with the centering tolerance that arms the descent."""
-    return replace(gains, hover_threshold=LAND_THRESHOLD_PX)
-
-
-def _enter_segment(state: MissionState, index: int, world: WorldState,
+def _enter_segment(state: MissionState, phase: Phase, index: int, world: WorldState,
                    cfg: SimConfig) -> None:
-    """Start segment ``index`` of the leg from the current pose.  An imagined
-    target keeps its offset from the frame center, so the segment's error
-    norm and command are fixed here."""
+    """Start segment ``index`` of the leg, searching or reversing, from the
+    current pose.  An imagined target keeps its offset from the frame
+    center, so the segment's error norm and command are fixed here."""
+    _enter(state, phase, index)
     state.segment_index = index
-    state.count = 0
     state.segment_start_xy = (world.drone.x, world.drone.y)
     state.segment_command = _command(state.leg.segments[index].target, cfg.gains, cfg.frame)
 
@@ -253,7 +244,7 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
     (landed, or finished a track or forward hover) or failed.
     """
     if state.done:
-        raise AbsorbingStateError(f"mission already done: {state.label(spec)}")
+        raise AbsorbingStateError(f"mission already done: {state.label}")
 
     state.last_detected = state.last_err = state.last_frame = None
     sigma = cfg.noise.takeoff_jitter_std
@@ -288,9 +279,8 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
         if state.ticks == 0 or world.drone.z < cfg.altitude - _ALTITUDE_EPS:
             return None, ZERO_COMMAND  # liftoff, then the climb
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
-        _enter(state, Phase.SEARCHING)
         state.leg = spec.trajectory
-        _enter_segment(state, 0, world, cfg)
+        _enter_segment(state, Phase.SEARCHING, 0, world, cfg)
         return _fly(state)
     if phase is Phase.HOVERING_ON_TARGET and state.count * cfg.dt >= HOVER_DWELL_S - 1e-9:
         if spec.kind not in _RETURNING_KINDS:
@@ -300,8 +290,7 @@ def _act(state: MissionState, spec: MissionSpec, world: WorldState,
                 state.leg = reverse(state.log, cfg.frame)
             except EmptyLogError:
                 return _fail(state, "reversal_unavailable")
-            _enter(state, Phase.REVERSING)
-            _enter_segment(state, 0, world, cfg)
+            _enter_segment(state, Phase.REVERSING, 0, world, cfg)
             return _fly(state)
     if phase is Phase.LANDING and world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
         world.drone = replace(world.drone, z=cfg.carrier_height)
@@ -332,15 +321,13 @@ def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: F
             if i + 1 == len(segments):
                 return _fail(state, "search_exhausted" if phase is Phase.SEARCHING
                              else "return_exhausted")
-            _enter_segment(state, i + 1, world, cfg)
+            _enter_segment(state, phase, i + 1, world, cfg)
         return _fly(state)
     elif phase is Phase.SERVOING:
         state.count += 1
         if spec.trajectory is not None and state.count > LOST_PATIENCE_TICKS:
             # resume the interrupted search segment from the current pose
-            _enter(state, Phase.SEARCHING)
-            state.leg = spec.trajectory  # a track mission has flown none yet
-            _enter_segment(state, state.segment_index, world, cfg)
+            _enter_segment(state, Phase.SEARCHING, state.segment_index, world, cfg)
     elif phase is Phase.SERVOING_HOME:
         state.count = 0
     return None, ZERO_COMMAND
@@ -351,10 +338,10 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     phase = state.phase
     state.last_detected = det.color
     landing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
-    gains = _landing_gains(cfg.gains) if landing else cfg.gains
+    gains = replace(cfg.gains, hover_threshold=LAND_THRESHOLD_PX) if landing else cfg.gains
     state.last_err, cmd = _command(det.center, gains, cfg.frame)
     if phase is Phase.SEARCHING:
-        _enter(state, Phase.SERVOING)
+        _enter(state, Phase.SERVOING, _COLOR_NAMES[det.color])
     elif phase is Phase.SERVOING:
         state.count = 0
         if cmd.hovering:
@@ -371,15 +358,11 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
 @dataclass(frozen=True)
 class MissionResult:
     success: bool
-    outcome: str                 # "success" or "failed:<reason>"
+    outcome: str                 # "success" or the final label, "failed:<reason>"
     elapsed_s: float
     ticks: int
     final_pose: Pose
     rows: tuple[TrajectoryRow, ...]
-
-
-#: detected_color strings by detected color (None: nothing), shared by every row.
-_COLOR_NAMES = {None: "", **{c: c.name.lower() for c in Color}}
 
 
 def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
@@ -393,28 +376,20 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
     """
     state = initial_state(spec)
     rows: list[TrajectoryRow] = []
-    append = rows.append
-    color_names = _COLOR_NAMES
-    label_key = label = None
     while True:
         state, cmd = tick(state, spec, world, cfg)
-        # the label is a function of these three (spec is fixed for the run)
-        key = (state.phase, state.segment_index, state.fail_reason)
-        if key != label_key:
-            label_key, label = key, state.label(spec)
         drone = world.drone
-        append(TrajectoryRow(world.steps, world.time, drone.x, drone.y, drone.z,
-                             cmd.vel_forward, cmd.vel_right, label,
-                             color_names[state.last_detected], state.last_err))
+        rows.append(TrajectoryRow(world.steps, world.time, drone.x, drone.y, drone.z,
+                                  cmd.vel_forward, cmd.vel_right, state.label,
+                                  _COLOR_NAMES[state.last_detected], state.last_err))
         if frame_sink is not None and state.last_frame is not None:
             frame_sink(world.steps, state.last_frame)
         if state.done:
             break
         step(world, cmd, cfg, vz=state.climb_rate(cfg))
-    outcome = "success" if state.succeeded else f"failed:{state.fail_reason}"
     return MissionResult(
         success=state.succeeded,
-        outcome=outcome,
+        outcome="success" if state.succeeded else state.label,
         elapsed_s=state.ticks * cfg.dt,
         ticks=state.ticks,
         final_pose=world.drone,
@@ -565,17 +540,22 @@ def _object(where: str, node, known: tuple[str, ...]) -> dict:
     return node
 
 
-def _typed(where: str, node, fields: dict[str, tuple[str, ...]],
+def _field_names(cls) -> tuple[str, ...]:
+    """The keys of a config section: the fields of the dataclass it builds."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _typed(where: str, node, types: dict[str, tuple[str, ...]],
            default: Optional[str]) -> str:
     """The "type" of a config object (``default`` when absent), one of
-    ``fields``' keys; besides "type" the object may hold only the keys
+    ``types``' keys; besides "type" the object may hold only the keys
     that type lists."""
     if not isinstance(node, dict):
         raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
     kind = node.get("type", default)
-    if not isinstance(kind, str) or kind not in fields:
+    if not isinstance(kind, str) or kind not in types:
         raise ScenarioError(f"unknown {where} type {kind!r}")
-    _object(f"{kind} {where}", node, ("type", *fields[kind]))
+    _object(f"{kind} {where}", node, ("type", *types[kind]))
     return kind
 
 
@@ -610,6 +590,13 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
         segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
                                     _parse_termination(s["until"])))
     return ImaginedTrajectory(tuple(segs))
+
+
+def _array(key: str, value) -> list:
+    """A config JSON array; any other JSON value is rejected, naming its key."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key} must be a JSON array, got {value!r}")
+    return value
 
 
 def _finite_pair(key: str, value) -> tuple[float, float]:
@@ -660,8 +647,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def build_scenario(data: dict) -> Scenario:
     """Build a Scenario from a config tree.
 
-    Schema (all keys optional except "task"; a key it does not name is
-    rejected)::
+    Schema (all keys optional except "task"; a key it does not name, a
+    "trajectory" in a track config, or a section or list of another JSON
+    type is rejected)::
 
         {
           "task": "track" | "forward" | "return" | "coordination",
@@ -702,26 +690,29 @@ def build_scenario(data: dict) -> Scenario:
     base = default_scenario(task)
 
     try:
-        sim_node = dict(data.get("sim", {}))
-        frame_node = sim_node.pop("frame", None)
-        gains_node = sim_node.pop("gains", None)
-        noise_node = sim_node.pop("noise", None)
+        sim_node = dict(_object("sim", data.get("sim", {}), _field_names(SimConfig)))
+        frame_node = _object("frame", sim_node.pop("frame", {}), _field_names(FrameSpec))
+        gains_node = _object("gains", sim_node.pop("gains", {}), _field_names(ControllerGains))
+        noise_node = _object("noise", sim_node.pop("noise", {}), _field_names(NoiseModel))
         for node in (sim_node, frame_node, gains_node, noise_node):
-            for key, value in dict(node or {}).items():
+            for key, value in node.items():
                 if key not in ("carrier_waypoints", "literal_axes"):
                     _number(key, value)
-        frame = FrameSpec(**frame_node) if frame_node else base.cfg.frame
-        gains = ControllerGains(**gains_node) if gains_node else base.cfg.gains
-        noise = NoiseModel(**noise_node) if noise_node else base.cfg.noise
         if "carrier_waypoints" in sim_node:
             sim_node["carrier_waypoints"] = tuple(
-                _finite_pair("carrier_waypoints", wp) for wp in sim_node["carrier_waypoints"])
-        cfg = replace(base.cfg, frame=frame, gains=gains, noise=noise, **sim_node)
+                _finite_pair("carrier_waypoints", wp)
+                for wp in _array("carrier_waypoints", sim_node["carrier_waypoints"]))
+        cfg = replace(base.cfg, frame=replace(base.cfg.frame, **frame_node),
+                      gains=replace(base.cfg.gains, **gains_node),
+                      noise=replace(base.cfg.noise, **noise_node), **sim_node)
 
         search_color = _parse_color(data.get("search_color", base.spec.search_color.name))
         home_color = _parse_color(data["home_color"]) if "home_color" in data \
             else base.spec.home_color
         if base.spec.kind is MissionKind.TRACK_VISIBLE:
+            if "trajectory" in data:
+                raise ScenarioError('a track config takes no "trajectory" key: '
+                                    "a track mission flies no search")
             trajectory = None
         else:
             trajectory = _parse_trajectory(data.get("trajectory", {"type": "forward"}),
@@ -734,7 +725,7 @@ def build_scenario(data: dict) -> Scenario:
 
         markers = base.markers
         if "markers" in data:
-            markers = tuple(_parse_marker(m) for m in data["markers"])
+            markers = tuple(_parse_marker(m) for m in _array("markers", data["markers"]))
         drone_start = _finite_pair("drone_start", data["drone_start"]) \
             if "drone_start" in data else base.drone_start
         carrier_start = _finite_pair("carrier_start", data["carrier_start"]) \

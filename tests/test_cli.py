@@ -174,6 +174,27 @@ def test_spread_on_wrong_csv_exits_2(tmp_path):
     assert main(["spread", "--in", str(out / "results.csv")]) == 2
 
 
+@pytest.mark.parametrize("command, name, what", [("stats", "results.csv", "results"),
+                                                  ("spread", "trajectory_0.csv", "trajectory")])
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_csv_row_with_the_wrong_field_count_exits_2(tmp_path, capsys, command, name, what,
+                                                    change):
+    cfg = write_config(tmp_path, task="return",
+                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
+    lines = (out / name).read_text().splitlines(keepends=True)
+    fields = lines[1].rstrip("\r\n").split(",")
+    row = fields[:3] if change == "short" else fields + ["0"]
+    lines[1] = ",".join(row) + "\r\n"
+    (out / name).write_text("".join(lines))
+    capsys.readouterr()
+    assert main([command, "--in", str(out / name)]) == 2
+    header = len(lines[0].split(","))
+    assert capsys.readouterr().err == \
+        f"error: {what} file line 2: {len(row)} fields, the header has {header}\n"
+
+
 def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
     # drift and takeoff jitter on: every file the run writes must read back
     out = tmp_path / "out"
@@ -314,9 +335,31 @@ def test_run_that_fails_in_a_trial_leaves_an_existing_out_directory_as_it_was(tm
      {"task": "forward", "trajectory": {"type": "segments", "segments": [
          {"target": [320, 80], "until": {"type": "duration", "seconds": 5.0,
                                          "color": "pink"}}]}}),
+    ('a track config takes no "trajectory" key',
+     {"task": "track", "trajectory": {"type": "spiral", "side_duration_s": "x"}}),
 ])
 def test_run_rejects_unknown_config_keys(tmp_path, capsys, message, config):
     path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message, config", [
+    ("sim must be a JSON object", {"task": "forward", "sim": [["dt", 0.2]]}),
+    ("gains must be a JSON object", {"task": "forward", "sim": {"gains": None}}),
+    ("gains must be a JSON object", {"task": "forward", "sim": {"gains": False}}),
+    ("frame must be a JSON object", {"task": "forward", "sim": {"frame": 0}}),
+    ("noise must be a JSON object", {"task": "forward", "sim": {"noise": []}}),
+    ("markers must be a JSON array", {"task": "forward", "markers": {}}),
+    ("carrier_waypoints must be a JSON array",
+     {"task": "coordination", "sim": {"carrier_waypoints": {}}}),
+])
+def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, message, config):
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2

@@ -71,7 +71,7 @@ def test_return_log_holds_one_entry_per_stretch_of_constant_command():
     labels = []
     while state.phase is not Phase.REVERSING:
         state, cmd = tick(state, sc.spec, world, sc.cfg)
-        labels.append(state.label(sc.spec))
+        labels.append(state.label)
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     # the whole forward search flies one imagined target: one entry
     searching = sum(label.startswith("searching") for label in labels)
@@ -266,9 +266,9 @@ def test_exhausted_replay_cancels_the_commanded_outbound_motion(shape, reach, se
     state = initial_state(sc.spec)
     while True:
         state, cmd = tick(state, sc.spec, world, sc.cfg)
-        if state.fail_reason == "return_exhausted":
+        if state.label == "failed:return_exhausted":
             break
-        assert not state.done, state.label(sc.spec)
+        assert not state.done, state.label
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
 
     rng = np.random.default_rng(seed)

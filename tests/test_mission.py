@@ -112,7 +112,7 @@ def test_tick_after_failed_raises():
         if state.done:
             break
     assert state.phase is Phase.FAILED
-    assert state.fail_reason == "timeout"
+    assert state.label == "failed:timeout"
     with pytest.raises(AbsorbingStateError):
         tick(state, spec, world, sc.cfg)
 
@@ -211,15 +211,25 @@ def test_lost_detection_reverts_to_search_segment():
     assert Phase.SERVOING in transitions[:-1]
 
 
-def test_track_mission_given_a_trajectory_searches_it_once_the_marker_is_lost():
-    # nothing in view: ten lost ticks of servoing, then the search flies the
-    # spec's trajectory from its first segment until that runs out
-    cfg = SimConfig(noise=ZERO_NOISE)
-    spec = MissionSpec(MissionKind.TRACK_VISIBLE, trajectory=square_trajectory(cfg.frame, 1.0))
-    result = run(spec, Scenario(spec, cfg).make_world(0), cfg)
-    labels = [r.fsm_state for r in result.rows]
-    assert labels[:11] == ["servoing:pink"] * 10 + ["searching:0"]
-    assert (result.outcome, result.ticks) == ("failed:search_exhausted", 52)
+def test_track_spec_takes_no_trajectory():
+    frame = SimConfig().frame
+    with pytest.raises(ScenarioError, match="track missions take no search trajectory"):
+        MissionSpec(MissionKind.TRACK_VISIBLE, trajectory=square_trajectory(frame, 1.0))
+
+
+def test_hover_with_an_empty_motion_log_fails_with_reversal_unavailable():
+    # the marker is found while the search holds still (its target is the
+    # frame center), so nothing moving was logged and there is no path back
+    from visnav.mission import build_scenario
+    sc = build_scenario({
+        "task": "return",
+        "markers": [{"x": 0.1, "y": 0.0, "radius": 0.06, "color": "pink"}],
+        "trajectory": {"type": "segments", "segments": [
+            {"target": [320, 180], "until": {"type": "marker", "color": "pink"}}]},
+        "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert (result.outcome, result.ticks) == ("failed:reversal_unavailable", 34)
+    assert result.rows[-1].fsm_state == result.outcome
 
 
 @pytest.mark.parametrize("task", ["forward", "return"])
@@ -513,6 +523,14 @@ def test_load_scenario_explicit_segments(tmp_path):
     '{"task": "coordination", "sim": {"carrier_height": NaN}}',
     '{"task": "coordination", "sim": {"carrier_marker_radius": NaN}}',
     '{"task": "coordination", "sim": {"carrier_marker_radius": -Infinity}}',
+    # sections must be JSON objects and lists JSON arrays, not coerced or defaulted
+    json.dumps({"task": "forward", "sim": [["dt", 0.2]]}),
+    json.dumps({"task": "forward", "sim": {"gains": None}}),
+    json.dumps({"task": "forward", "sim": {"gains": False}}),
+    json.dumps({"task": "forward", "sim": {"frame": 0}}),
+    json.dumps({"task": "forward", "sim": {"noise": []}}),
+    json.dumps({"task": "forward", "markers": {}}),
+    json.dumps({"task": "coordination", "sim": {"carrier_waypoints": {}}}),
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -539,7 +557,7 @@ def test_exhausted_return_replay_fails():
     rows = []
     while not state.done:
         state, cmd = tick(state, sc.spec, world, sc.cfg)
-        rows.append((state.label(sc.spec), cmd))
+        rows.append((state.label, cmd))
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     n = len(state.leg.segments)
     assert rows[-2][0] == f"reversing:{n - 1}"
