@@ -521,7 +521,11 @@ def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
     return Scenario(spec, cfg, markers=(Marker((2.0, 0.0), 0.06, Color.PINK),))
 
 
-def _parse_color(name: str) -> Color:
+def _parse_color(key: str, name) -> Color:
+    """A config color: a JSON string naming a Color, in any case.  Any
+    other JSON value is rejected, naming its key."""
+    if not isinstance(name, str):
+        raise ScenarioError(f"{key} must be a color name string, got {name!r}")
     try:
         return Color[name.upper()]
     except KeyError:
@@ -562,14 +566,14 @@ def _typed(where: str, node, types: dict[str, tuple[str, ...]],
 def _parse_marker(node) -> Marker:
     m = _object("marker", node, ("x", "y", "radius", "color"))
     return Marker((_number("x", m["x"]), _number("y", m["y"])),
-                  _number("radius", m["radius"]), _parse_color(m["color"]))
+                  _number("radius", m["radius"]), _parse_color("color", m["color"]))
 
 
 def _parse_termination(node: dict):
     kind = _typed("termination", node,
                   {"marker": ("color",), "duration": ("seconds",), "distance": ("meters",)}, None)
     if kind == "marker":
-        return MarkerDetected(_parse_color(node["color"]))
+        return MarkerDetected(_parse_color("color", node["color"]))
     if kind == "duration":
         return Duration(_number("seconds", node["seconds"]))
     return Distance(_number("meters", node["meters"]))
@@ -584,7 +588,7 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
         return square_trajectory(frame, _number("side_duration_s", node["side_duration_s"]),
                                  _number("offset_px", node.get("offset_px", 100.0)))
     segs = []
-    for s in node["segments"]:
+    for s in _array("segments", node["segments"]):
         _object("segment", s, ("target", "until"))
         tx, ty = _finite_pair("target", s["target"])
         segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
@@ -601,11 +605,12 @@ def _array(key: str, value) -> list:
 
 def _finite_pair(key: str, value) -> tuple[float, float]:
     """A config [x, y] point as a tuple, rejected here, naming its key,
-    unless both coordinates are finite numbers (it fails mid-run otherwise)."""
-    pair = tuple(value)
-    if len(pair) != 2 or not all(type(v) in (int, float) and math.isfinite(v) for v in pair):
+    unless it is a JSON array of two finite numbers (it fails mid-run
+    otherwise)."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
         raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
-    return pair
+    return tuple(value)
 
 
 def _number(key: str, value) -> float:
@@ -706,8 +711,9 @@ def build_scenario(data: dict) -> Scenario:
                       gains=replace(base.cfg.gains, **gains_node),
                       noise=replace(base.cfg.noise, **noise_node), **sim_node)
 
-        search_color = _parse_color(data.get("search_color", base.spec.search_color.name))
-        home_color = _parse_color(data["home_color"]) if "home_color" in data \
+        search_color = _parse_color("search_color",
+                                    data.get("search_color", base.spec.search_color.name))
+        home_color = _parse_color("home_color", data["home_color"]) if "home_color" in data \
             else base.spec.home_color
         if base.spec.kind is MissionKind.TRACK_VISIBLE:
             if "trajectory" in data:

@@ -7,11 +7,15 @@ modeled as exact classification and detection reduces to counting labeled
 pixels and taking their centroid.  Absence of a blob is a value (None),
 not an error.
 
-Frames rasterise on demand: Frame.labels draws the whole grid on first
-read.  detect() computes the count and centroid of isolated discs (no
-other drawn disc's box overlaps theirs) in closed form, from per-row span
-moments, and rasterises only overlaps: the window around the watched
-color's discs, where the nearest-disc tie-break decides each pixel.
+Frames are lazy.  render() projects, checks and culls every marker at
+once, but keeps each survivor as a plain (code, x, y, radius) spot.
+Frame.discs clips the spots' boxes on first read, and Frame.labels draws
+the whole grid on first read.  detect() of a color with no spot returns
+None without clipping a box.  Otherwise it computes the count and
+centroid of isolated discs (no other drawn disc's box overlaps theirs) in
+closed form, from per-row span moments, and rasterises only overlaps: the
+window around the watched color's discs, where the nearest-disc
+tie-break decides each pixel.
 """
 
 from __future__ import annotations
@@ -80,19 +84,19 @@ class Marker:
             raise ValueError("marker height must be finite and >= 0")
 
 
-class _Pixel(NamedTuple):  # a drawn disc's pixel center, checked finite
-    x: float
-    y: float
-
-
 class _Disc(NamedTuple):
-    """A drawn marker: color code, pixel center and radius, and its box
-    clipped to the frame as half-open (row0, row1, col0, col1)."""
+    """A drawn marker: color code, pixel center (x, y) and radius, and its
+    box clipped to the frame as half-open rows [row0, row1) and columns
+    [col0, col1)."""
 
     code: int
-    center: _Pixel
+    x: float
+    y: float
     radius: float
-    box: tuple[int, int, int, int]
+    row0: int
+    row1: int
+    col0: int
+    col1: int
 
 
 def _raster(discs: Sequence[_Disc], window: tuple[int, int, int, int]) -> np.ndarray:
@@ -101,13 +105,13 @@ def _raster(discs: Sequence[_Disc], window: tuple[int, int, int, int]) -> np.nda
     coordinates, exact-distance ties to the earliest disc."""
     wr0, wr1, wc0, wc1 = window
     labels = np.zeros((wr1 - wr0, wc1 - wc0), dtype=np.uint8)
-    parts = [(d, max(d.box[0], wr0), min(d.box[1], wr1), max(d.box[2], wc0), min(d.box[3], wc1))
+    parts = [(d, max(d.row0, wr0), min(d.row1, wr1), max(d.col0, wc0), min(d.col1, wc1))
              for d in discs]
     parts = [p for p in parts if p[1] < p[2] and p[3] < p[4]]
     best_d2 = np.full(labels.shape, np.inf)
     for disc, r0, r1, c0, c1 in parts:
-        xs = np.arange(c0, c1, dtype=np.float64) - disc.center.x
-        ys = np.arange(r0, r1, dtype=np.float64) - disc.center.y
+        xs = np.arange(c0, c1, dtype=np.float64) - disc.x
+        ys = np.arange(r0, r1, dtype=np.float64) - disc.y
         d2 = xs[None, :] ** 2 + ys[:, None] ** 2
         cut = (slice(r0 - wr0, r1 - wr0), slice(c0 - wc0, c1 - wc0))
         best = best_d2[cut]
@@ -132,9 +136,8 @@ def _moments(disc: _Disc) -> tuple[int, int, int]:
     just inside it is covered and the one just outside is not (or the box
     edge is reached).  The span sums are integer arithmetic series.
     """
-    r0, r1, c0, c1 = disc.box
-    cx, cy = disc.center.x, disc.center.y
-    r2 = disc.radius * disc.radius
+    _, cx, cy, radius, r0, r1, c0, c1 = disc
+    r2 = radius * radius
     mid = round(cx)
     # the ends are signed, outward positive: (-first column, last column);
     # per end: the box edge it stops at, the far edge it may reach when the
@@ -161,12 +164,28 @@ def _moments(disc: _Disc) -> tuple[int, int, int]:
 class Frame:
     """A bottom-camera label grid of shape (height, width), dtype uint8.
 
-    A frame keeps the discs render() drew, in marker order, and rasterises
-    ``labels`` on first read.
+    A frame keeps the (code, x, y, radius) spots render() projected, in
+    marker order.  ``discs`` clips their boxes on first read and drops a
+    spot whose clipped box is empty; ``labels`` rasterises the discs on
+    first read.
     """
 
-    def __init__(self, spec: FrameSpec, discs: tuple[_Disc, ...]) -> None:
-        self.spec, self.discs = spec, discs
+    def __init__(self, spec: FrameSpec, spots: tuple[tuple[int, float, float, float], ...]) -> None:
+        self.spec, self.spots = spec, spots
+
+    @cached_property
+    def discs(self) -> tuple[_Disc, ...]:
+        w, h = self.spec.width, self.spec.height
+        ceil, floor = math.ceil, math.floor
+        discs = []
+        for code, x, y, r in self.spots:
+            col0 = max(0, ceil(x - r))
+            col1 = min(w, floor(x + r) + 1)
+            row0 = max(0, ceil(y - r))
+            row1 = min(h, floor(y + r) + 1)
+            if col0 < col1 and row0 < row1:
+                discs.append(_Disc(code, x, y, r, row0, row1, col0, col1))
+        return tuple(discs)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -188,7 +207,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     background.  Discs project as discs (nadir camera, level markers) with
     pixel radius = focal_length * radius / (drone.z - marker.height).
     One pass projects each marker (project()'s formula, inlined), checks
-    it, and culls it or clips its box.
+    it, and culls it or keeps it as a spot; the frame clips the spots'
+    boxes on first read of its discs.
 
     Raises GroundedError when the camera is not above every marker, else
     ValueError for the first marker whose projected center is not finite
@@ -200,8 +220,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     c, s = math.cos(drone.yaw), math.sin(drone.yaw)
     w, h, f = frame_spec.width, frame_spec.height, frame_spec.focal_length
     cx, cy = w / 2.0, h / 2.0
-    isfinite, ceil, floor = math.isfinite, math.ceil, math.floor
-    discs = []
+    isfinite = math.isfinite
+    spots = []
     for marker in markers:
         if z <= marker.height:
             raise GroundedError("projection undefined with the camera not above the point")
@@ -219,13 +239,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
             raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
         if x + pr < 0 or y + pr < 0 or x - pr > w - 1 or y - pr > h - 1:
             continue  # wholly off the frame: its clipped box would be empty
-        col0 = max(0, ceil(x - pr))
-        col1 = min(w, floor(x + pr) + 1)
-        row0 = max(0, ceil(y - pr))
-        row1 = min(h, floor(y + pr) + 1)
-        if col0 < col1 and row0 < row1:
-            discs.append(_Disc(marker.color.value, _Pixel(x, y), pr, (row0, row1, col0, col1)))
-    return Frame(frame_spec, tuple(discs))
+        spots.append((marker.color._value_, x, y, pr))
+    return Frame(frame_spec, tuple(spots))
 
 
 def _label_moments(region: np.ndarray, code: int, row0: int, col0: int) -> tuple[int, int, int]:
@@ -236,29 +251,32 @@ def _label_moments(region: np.ndarray, code: int, row0: int, col0: int) -> tuple
     return count, int(rows.sum()) + count * row0, int(cols.sum()) + count * col0
 
 
-def _overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    """True iff two half-open (row0, row1, col0, col1) boxes share a pixel."""
-    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
-
-
 def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZE) -> Optional[Detection]:
     """Find the blob of a color class, or None when too few pixels match.
 
     The centroid is the plain mean of matching pixel coordinates (computed
     from exact integer sums), so two same-colored blobs yield the centroid
-    of their union.  None signals absence, not failure.  The color's discs
-    are summed in closed form when no other drawn disc's box overlaps
-    theirs; otherwise only the box around them is rasterised, for the
-    nearest-disc tie-break.
+    of their union.  None signals absence, not failure: a color with no
+    spot in the frame returns None at once, before any box is clipped.
+    The color's discs are summed in closed form when no other drawn disc's
+    box overlaps theirs; otherwise only the box around them is rasterised,
+    for the nearest-disc tie-break.
     """
-    code = color.value
-    watched = [d for d in frame.discs if d.code == code]
+    code = color._value_
+    for spot in frame.spots:
+        if spot[0] == code:
+            break
+    else:
+        return None     # blind: no box is clipped
+    discs = frame.discs
+    watched = [d for d in discs if d.code == code]
     if not watched:
         return None
-    if any(_overlap(w.box, d.box) for w in watched for d in frame.discs if d is not w):
-        row0, row1 = min(d.box[0] for d in watched), max(d.box[1] for d in watched)
-        col0, col1 = min(d.box[2] for d in watched), max(d.box[3] for d in watched)
-        region = _raster(frame.discs, (row0, row1, col0, col1))
+    if any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
+           for w in watched for d in discs if d is not w):
+        row0, row1 = min(d.row0 for d in watched), max(d.row1 for d in watched)
+        col0, col1 = min(d.col0 for d in watched), max(d.col1 for d in watched)
+        region = _raster(discs, (row0, row1, col0, col1))
         count, sum_rows, sum_cols = _label_moments(region, code, row0, col0)
     else:
         count, sum_rows, sum_cols = [sum(m) for m in zip(*map(_moments, watched))]

@@ -357,6 +357,18 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys, message, config):
     ("markers must be a JSON array", {"task": "forward", "markers": {}}),
     ("carrier_waypoints must be a JSON array",
      {"task": "coordination", "sim": {"carrier_waypoints": {}}}),
+    ("search_color must be a color name string", {"task": "forward", "search_color": 5}),
+    ("home_color must be a color name string", {"task": "return", "home_color": None}),
+    ("color must be a color name string",
+     {"task": "forward", "markers": [{"x": 1.0, "y": 0.0, "radius": 0.06, "color": 5}]}),
+    ("color must be a color name string",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [
+         {"target": [320, 80], "until": {"type": "marker", "color": 1}}]}}),
+    ("drone_start must be a finite [x, y] pair", {"task": "forward", "drone_start": 5}),
+    ("carrier_waypoints must be a finite [x, y] pair",
+     {"task": "coordination", "sim": {"carrier_waypoints": [5]}}),
+    ("segments must be a JSON array",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": 5}}),
 ])
 def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, message, config):
     path = tmp_path / "bad.json"

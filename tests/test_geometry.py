@@ -183,7 +183,7 @@ def test_render_disc_centers_equal_project_bit_exactly(x, y, z, yaw, offsets):
         assert (p.x, p.y) == reference_projection(drone, m.position, DEFAULT, m.height)
         if m.color.value in drawn:
             disc = drawn[m.color.value]
-            assert (disc.center.x, disc.center.y) == (p.x, p.y)
+            assert (disc.x, disc.y) == (p.x, p.y)
             assert disc.radius == DEFAULT.focal_length / (z - m.height) * m.radius
 
 

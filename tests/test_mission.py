@@ -531,6 +531,17 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "sim": {"noise": []}}),
     json.dumps({"task": "forward", "markers": {}}),
     json.dumps({"task": "coordination", "sim": {"carrier_waypoints": {}}}),
+    # a color must be a JSON string
+    json.dumps({"task": "forward", "search_color": 5}),
+    json.dumps({"task": "return", "home_color": None}),
+    json.dumps({"task": "forward",
+                "markers": [{"x": 1.0, "y": 0.0, "radius": 0.06, "color": 5}]}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": {"type": "marker", "color": 1}}]}}),
+    # points and segment lists must be JSON arrays
+    json.dumps({"task": "forward", "drone_start": 5}),
+    json.dumps({"task": "coordination", "sim": {"carrier_waypoints": [5]}}),
+    json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": 5}}),
 ])
 def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"

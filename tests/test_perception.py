@@ -179,7 +179,7 @@ def test_same_color_blobs_merge_into_one_centroid():
 
 
 def test_frame_shape_validation():
-    # a frame is built from its discs only; its grid has the spec's shape
+    # a frame is built from its spots only; its grid has the spec's shape
     with pytest.raises(TypeError):
         Frame(DEFAULT)
     spec = FrameSpec(48, 32, 24.0)
@@ -249,11 +249,45 @@ def _build(scene, spec):
 @settings(max_examples=150, deadline=None)
 @given(SCENES)
 def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
+    # each detect runs both on a fresh frame, whose discs it clips if it
+    # reads them at all, and on a frame whose discs were read beforehand
     drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
+    clipped = render(drone, markers, DEFAULT)
+    clipped.discs
     for color in Color:
         for size in (1, 10):
-            assert detect(frame, color, size) == detect_on_labels(frame.labels, color, size)
+            want = detect_on_labels(clipped.labels, color, size)
+            assert detect(render(drone, markers, DEFAULT), color, size) == want
+            assert detect(clipped, color, size) == want
+
+
+def test_render_and_a_blind_detect_clip_no_disc():
+    # a green detect sees no green spot; the yellow spot's clipped box is
+    # empty (a third of a pixel wide, centered between two columns)
+    markers = [Marker((0.0, 0.0), 0.1, Color.PINK), Marker((0.1, 0.3), 0.05, Color.BLUE),
+               Marker((0.0, -0.5 / 320), 0.001, Color.YELLOW)]
+    frame = render(HOVER, markers, DEFAULT)
+    assert "discs" not in vars(frame)
+    assert [spot[0] for spot in frame.spots] == [c.value for c in (Color.PINK, Color.BLUE,
+                                                                     Color.YELLOW)]
+    assert detect(frame, Color.GREEN) is None
+    assert "discs" not in vars(frame)
+    assert detect(frame, Color.YELLOW, 1) is None
+    assert [d.code for d in vars(frame)["discs"]] == [Color.PINK.value, Color.BLUE.value]
+    assert detect(frame, Color.PINK) is not None
+
+
+def test_write_ppm_after_a_blind_detect_matches_an_eagerly_clipped_frame(tmp_path):
+    # overlapping discs, one across the frame edge
+    markers = [Marker((0.0, -0.05), 0.1, Color.PINK), Marker((0.0, 0.05), 0.1, Color.BLUE),
+               Marker((0.55, 0.2), 0.08, Color.RED)]
+    blind = render(HOVER, markers, DEFAULT)
+    assert detect(blind, Color.GREEN) is None
+    eager = render(HOVER, markers, DEFAULT)
+    eager.discs
+    write_ppm(blind, tmp_path / "blind.ppm")
+    write_ppm(eager, tmp_path / "eager.ppm")
+    assert (tmp_path / "blind.ppm").read_bytes() == (tmp_path / "eager.ppm").read_bytes()
 
 
 def _detect_all(frame):
@@ -288,7 +322,7 @@ def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):
     frame = render(drone, markers, DEFAULT)
     got, want, raster_calls = _detect_all(frame)
     assert got == want
-    boxes = [d.box for d in frame.discs]
+    boxes = [(d.row0, d.row1, d.col0, d.col1) for d in frame.discs]
     if any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
            for i, a in enumerate(boxes) for b in boxes[i + 1:]):
         assert raster_calls > 0
