@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import operator
 import shutil
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -172,10 +173,36 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
                              r.ticks, repr(r.final_pose.x), repr(r.final_pose.y)])
 
 
-def _read_csv(path: str | Path, columns: Sequence[str], what: str) -> list[dict]:
-    """Rows of a CSV file as dicts keyed by its header; raises
-    MalformedLogError when the header lacks any of ``columns`` or a row has
-    more or fewer fields than the header (blank lines are skipped)."""
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _finite_or_empty(text: str) -> Optional[float]:
+    return _finite(text) if text else None
+
+
+#: What a typed CSV cell must hold, by its parser.
+_EXPECTED = {int: "an integer", _finite: "a finite number",
+             _finite_or_empty: "empty or a finite number"}
+
+#: The parser of each typed column of a file; the other columns are text.
+_RESULTS_PARSERS = {"trial": int, "seed": int, "ticks": int, "elapsed_s": _finite,
+                    "final_x": _finite, "final_y": _finite}
+_TRAJECTORY_PARSERS = {
+    "step": int, "err_px": _finite_or_empty,
+    **dict.fromkeys(("time_s", "drone_x", "drone_y", "drone_z", "vel_fwd", "vel_right"), _finite)}
+
+
+def _read_csv(path: str | Path, columns: Sequence[str],
+              parsers: dict[str, Callable[[str], object]], what: str) -> list[dict]:
+    """Rows of a CSV file as dicts keyed by its header, each cell of a
+    column in ``parsers`` (all of them among ``columns``) parsed once;
+    raises MalformedLogError when the header lacks any of ``columns``, a
+    row has more or fewer fields than the header (blank lines are skipped)
+    or a typed cell does not parse."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -190,18 +217,28 @@ def _read_csv(path: str | Path, columns: Sequence[str], what: str) -> list[dict]
                 raise MalformedLogError(
                     f"{what} file line {reader.line_num}: {len(fields)} fields, "
                     f"the header has {len(header)}")
-            rows.append(dict(zip(header, fields)))
+            row = dict(zip(header, fields))
+            for name, parse in parsers.items():
+                try:
+                    row[name] = parse(row[name])
+                except ValueError:
+                    raise MalformedLogError(
+                        f"{what} file line {reader.line_num}: {name} {row[name]!r} "
+                        f"is not {_EXPECTED[parse]}") from None
+            rows.append(row)
         return rows
 
 
 def read_results_csv(path: str | Path) -> list[dict]:
-    """Rows of a results.csv as dicts; raises MalformedLogError when the
-    header lacks required columns or a row's field count differs from it."""
-    return _read_csv(path, RESULTS_COLUMNS, "results")
+    """Rows of a results.csv as dicts: trial, seed and ticks as ints, the
+    other numbers as finite floats.  Raises MalformedLogError when the
+    header lacks required columns, a row's field count differs from it or
+    a number does not parse."""
+    return _read_csv(path, RESULTS_COLUMNS, _RESULTS_PARSERS, "results")
 
 
 def _success_times(rows: Sequence[dict]) -> list[float]:
-    return [float(r["elapsed_s"]) for r in rows if r["outcome"] == "success"]
+    return [r["elapsed_s"] for r in rows if r["outcome"] == "success"]
 
 
 def summarize_results(rows: Sequence[dict]) -> CampaignStats:
@@ -234,20 +271,12 @@ def load_trajectory(path: str | Path) -> list[TrajectoryRow]:
     """Read a trajectory CSV back into rows.
 
     Raises MalformedLogError when the header is missing any canonical
-    column or a row's field count differs from the header's.
+    column, a row's field count differs from the header's, or a number
+    does not parse (step must be an integer, the other numbers finite,
+    err_px empty or finite).
     """
-    return [TrajectoryRow(
-        step=int(raw["step"]),
-        time_s=float(raw["time_s"]),
-        drone_x=float(raw["drone_x"]),
-        drone_y=float(raw["drone_y"]),
-        drone_z=float(raw["drone_z"]),
-        vel_fwd=float(raw["vel_fwd"]),
-        vel_right=float(raw["vel_right"]),
-        fsm_state=raw["fsm_state"],
-        detected_color=raw["detected_color"],
-        err_px=float(raw["err_px"]) if raw["err_px"] != "" else None,
-    ) for raw in _read_csv(path, TRAJECTORY_COLUMNS, "trajectory")]
+    return [TrajectoryRow(*(raw[c] for c in TRAJECTORY_COLUMNS))
+            for raw in _read_csv(path, TRAJECTORY_COLUMNS, _TRAJECTORY_PARSERS, "trajectory")]
 
 
 def path_spread(rows: Sequence[TrajectoryRow]) -> float:

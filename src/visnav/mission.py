@@ -1,11 +1,11 @@
 """Mission state machines: take off, search, servo, hover, reverse, land.
 
-Every mission kind runs the same loop once per tick.  A few steps act
-without looking: liftoff, the top of the climb, the end of the hover dwell
-and touchdown.  Otherwise the tick captures a frame, detects the one color
-the current phase watches, steers on the blob centroid when there is one
-and else on the current imagined segment target (or holds), and fires at
-most one state transition when its condition is met.
+Every tick runs blind step -> look -> act.  The blind step acts without
+looking: timeout, liftoff and climb, top of the climb, a returning
+mission's hover end, touchdown.  Else the tick captures a frame, detects
+the color its phase watches, steers on the blob centroid or the imagined
+segment target (or holds), and fires at most one phase change.  tick
+returns (command, err_px, detected, frame); no state keeps them.
 
 The four kinds:
 
@@ -118,27 +118,20 @@ class MissionSpec:
 
 @dataclass
 class MissionState:
-    """Mutable FSM state plus per-phase bookkeeping; owned by one loop."""
+    """FSM state and per-phase bookkeeping carried from tick to tick, owned by
+    one loop; what a tick commands and sees is tick's return value."""
 
     phase: Phase
     label: str  # fsm_state of the trajectory log, written at each phase or segment change
     segment_index: int = 0
     log: MotionLog = field(default_factory=MotionLog)
     ticks: int = 0
-    succeeded: bool = False
+    done: bool = False  # set where the mission lands, fails or ends its track/forward hover
     # bookkeeping
-    count: int = 0  # the phase's one counter, zeroed by _enter; see _act
+    count: int = 0  # the phase's one counter, zeroed by _enter; see tick
     leg: Optional[ImaginedTrajectory] = None  # flown while searching or reversing
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
     segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
-    # outputs of the latest tick, consumed by run()
-    last_detected: Optional[Color] = None
-    last_err: Optional[float] = None
-    last_frame: Optional[Frame] = None
-
-    @property
-    def done(self) -> bool:
-        return self.succeeded or self.phase in (Phase.LANDED, Phase.FAILED)
 
     def climb_rate(self, cfg: SimConfig) -> float:
         """Vertical speed of the step after a tick that ends in this phase."""
@@ -163,8 +156,9 @@ _COLOR_NAMES = {None: "", **{c: c.name.lower() for c in Color}}
 #: whose moving commands make up the outbound motion log.
 _OUTBOUND_PHASES = (Phase.SEARCHING, Phase.SERVOING, Phase.HOVERING_ON_TARGET)
 
-#: What a tick steers on and the command it produced; no target means hold.
-_Action = tuple[Optional[PixelPoint], VelocityCommand]
+#: A tick's (target steered on or None: hold, command, err_px, detected color).
+_Action = tuple[Optional[PixelPoint], VelocityCommand, Optional[float], Optional[Color]]
+_HOLD: _Action = (None, ZERO_COMMAND, None, None)
 
 
 def _enter(state: MissionState, phase: Phase, detail: str | int | None = None) -> None:
@@ -178,7 +172,8 @@ def _enter(state: MissionState, phase: Phase, detail: str | int | None = None) -
 
 def _fail(state: MissionState, reason: str) -> _Action:
     _enter(state, Phase.FAILED, reason)
-    return None, ZERO_COMMAND
+    state.done = True
+    return _HOLD
 
 
 def _command(target: PixelPoint, gains: ControllerGains,
@@ -210,8 +205,8 @@ def _enter_segment(state: MissionState, phase: Phase, index: int, world: WorldSt
 def _fly(state: MissionState) -> _Action:
     """One tick of the current segment of the leg."""
     state.count += 1
-    state.last_err, cmd = state.segment_command
-    return state.leg.segments[state.segment_index].target, cmd
+    err, cmd = state.segment_command
+    return state.leg.segments[state.segment_index].target, cmd, err, None
 
 
 def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldState,
@@ -231,28 +226,40 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
     raise TypeError(f"unknown termination rule {rule!r}")
 
 
-def tick(state: MissionState, spec: MissionSpec, world: WorldState,
-         cfg: SimConfig) -> tuple[MissionState, VelocityCommand]:
-    """One FSM evaluation.  Mutates and returns ``state``.
+def tick(state: MissionState, spec: MissionSpec, world: WorldState, cfg: SimConfig
+         ) -> tuple[VelocityCommand, Optional[float], Optional[Color], Optional[Frame]]:
+    """One FSM evaluation: the blind step, else a look and the act on it.
+
+    Mutates ``state``; returns ``(command, err_px, detected, frame)``, None
+    for what the tick did not produce (no frame on a blind step).
+    state.count is the phase's one counter: segment ticks (searching,
+    reversing), missed ticks in a row (servoing), ticks hovered, and
+    centered ticks in a row (servoing_home).
 
     The drone pose in ``world`` is touched only at liftoff (takeoff
     jitter) and when snapping altitude at the top of the climb and at
     touchdown; all other motion goes through sim.step, driven by the
     returned command and state.climb_rate(cfg).
 
-    Raises AbsorbingStateError once the mission is done: it succeeded
-    (landed, or finished a track or forward hover) or failed.
+    Raises AbsorbingStateError once the mission is done (state.done).
     """
     if state.done:
         raise AbsorbingStateError(f"mission already done: {state.label}")
 
-    state.last_detected = state.last_err = state.last_frame = None
     sigma = cfg.noise.takeoff_jitter_std
     if state.ticks == 0 and sigma > 0:
         jx, jy = world.rng.normal(0.0, sigma, 2).tolist()
         world.drone = replace(world.drone, x=world.drone.x + jx, y=world.drone.y + jy)
 
-    target, cmd = _act(state, spec, world, cfg)
+    frame = None
+    action = _act_blind(state, spec, world, cfg)
+    if action is None:  # look for the one color this phase cares about
+        watched = spec.search_color if state.phase in _OUTBOUND_PHASES else spec.home_color
+        frame = capture(world, cfg)
+        det = detect(frame, watched, cfg.min_blob_size)
+        action = _on_hit(state, det, cfg) if det else _on_miss(state, world, frame, watched, cfg)
+    target, cmd, err, detected = action
+
     if state.phase in _OUTBOUND_PHASES and (cmd.vel_forward != 0.0 or cmd.vel_right != 0.0):
         last = state.log.entries[-1] if state.log.entries else None
         if last and last.target == target and last.command == cmd:  # the stretch goes on
@@ -261,56 +268,44 @@ def tick(state: MissionState, spec: MissionSpec, world: WorldState,
             state.log.append(state.ticks * cfg.dt, cmd, cfg.dt, target)
 
     state.ticks += 1
-    return state, cmd
+    return cmd, err, detected, frame
 
 
-def _act(state: MissionState, spec: MissionSpec, world: WorldState,
-         cfg: SimConfig) -> _Action:
-    """Fire at most one phase change and choose this tick's command.
-
-    state.count is the phase's one counter: segment ticks (searching,
-    reversing), missed ticks in a row (servoing), ticks hovered, and
-    centered ticks in a row (servoing_home)."""
+def _act_blind(state: MissionState, spec: MissionSpec, world: WorldState,
+               cfg: SimConfig) -> Optional[_Action]:
+    """The steps that act without looking, or None when the tick must look."""
     phase = state.phase
-    # steps that act without looking
     if state.ticks * cfg.dt >= spec.timeout:
         return _fail(state, "timeout")
     if phase is Phase.TAKING_OFF:
         if state.ticks == 0 or world.drone.z < cfg.altitude - _ALTITUDE_EPS:
-            return None, ZERO_COMMAND  # liftoff, then the climb
+            return _HOLD  # liftoff, then the climb
         world.drone = replace(world.drone, z=cfg.altitude)  # hold altitude exactly
         state.leg = spec.trajectory
         _enter_segment(state, Phase.SEARCHING, 0, world, cfg)
         return _fly(state)
-    if phase is Phase.HOVERING_ON_TARGET and state.count * cfg.dt >= HOVER_DWELL_S - 1e-9:
-        if spec.kind not in _RETURNING_KINDS:
-            state.succeeded = True  # and hold over the marker for this last tick
-        else:
+    if phase is Phase.HOVERING_ON_TARGET:
+        if state.count * cfg.dt >= HOVER_DWELL_S - 1e-9:
+            if spec.kind not in _RETURNING_KINDS:
+                state.done = True  # and look, holding over the marker, this last tick
+                return None
             try:
                 state.leg = reverse(state.log, cfg.frame)
             except EmptyLogError:
                 return _fail(state, "reversal_unavailable")
             _enter_segment(state, Phase.REVERSING, 0, world, cfg)
             return _fly(state)
+        state.count += 1
     if phase is Phase.LANDING and world.drone.z <= cfg.carrier_height + _ALTITUDE_EPS:
         world.drone = replace(world.drone, z=cfg.carrier_height)
         _enter(state, Phase.LANDED)
-        state.succeeded = True
-        return None, ZERO_COMMAND
-
-    # look for the one color this phase cares about
-    watched = spec.search_color if phase in _OUTBOUND_PHASES else spec.home_color
-    frame = state.last_frame = capture(world, cfg)
-    det = detect(frame, watched, cfg.min_blob_size)
-    if phase is Phase.HOVERING_ON_TARGET:
-        state.count += 1
-    if det is None:
-        return _on_miss(state, spec, world, frame, watched, cfg)
-    return _on_hit(state, det, cfg)
+        state.done = True
+        return _HOLD
+    return None
 
 
-def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: Frame,
-             watched: Color, cfg: SimConfig) -> _Action:
+def _on_miss(state: MissionState, world: WorldState, frame: Frame, watched: Color,
+             cfg: SimConfig) -> _Action:
     """Nothing of the watched color in view: fly the current leg, moving on
     to its next segment once the current one has expired, or hold.  The leg
     fails once its last segment has expired."""
@@ -325,21 +320,20 @@ def _on_miss(state: MissionState, spec: MissionSpec, world: WorldState, frame: F
         return _fly(state)
     elif phase is Phase.SERVOING:
         state.count += 1
-        if spec.trajectory is not None and state.count > LOST_PATIENCE_TICKS:
+        if state.leg is not None and state.count > LOST_PATIENCE_TICKS:
             # resume the interrupted search segment from the current pose
             _enter_segment(state, Phase.SEARCHING, state.segment_index, world, cfg)
     elif phase is Phase.SERVOING_HOME:
         state.count = 0
-    return None, ZERO_COMMAND
+    return _HOLD
 
 
 def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     """Servo on the detected blob and take the phase change it earns."""
     phase = state.phase
-    state.last_detected = det.color
     landing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
     gains = replace(cfg.gains, hover_threshold=LAND_THRESHOLD_PX) if landing else cfg.gains
-    state.last_err, cmd = _command(det.center, gains, cfg.frame)
+    err, cmd = _command(det.center, gains, cfg.frame)
     if phase is Phase.SEARCHING:
         _enter(state, Phase.SERVOING, _COLOR_NAMES[det.color])
     elif phase is Phase.SERVOING:
@@ -352,7 +346,7 @@ def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
         state.count = state.count + 1 if cmd.hovering else 0
         if state.count >= LAND_DWELL_TICKS:
             _enter(state, Phase.LANDING)
-    return det.center, cmd
+    return det.center, cmd, err, det.color
 
 
 @dataclass(frozen=True)
@@ -377,19 +371,20 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
     state = initial_state(spec)
     rows: list[TrajectoryRow] = []
     while True:
-        state, cmd = tick(state, spec, world, cfg)
+        cmd, err, detected, frame = tick(state, spec, world, cfg)
         drone = world.drone
         rows.append(TrajectoryRow(world.steps, world.time, drone.x, drone.y, drone.z,
                                   cmd.vel_forward, cmd.vel_right, state.label,
-                                  _COLOR_NAMES[state.last_detected], state.last_err))
-        if frame_sink is not None and state.last_frame is not None:
-            frame_sink(world.steps, state.last_frame)
+                                  _COLOR_NAMES[detected], err))
+        if frame_sink is not None and frame is not None:
+            frame_sink(world.steps, frame)
         if state.done:
             break
         step(world, cmd, cfg, vz=state.climb_rate(cfg))
+    success = state.phase is not Phase.FAILED
     return MissionResult(
-        success=state.succeeded,
-        outcome="success" if state.succeeded else state.label,
+        success=success,
+        outcome="success" if success else state.label,
         elapsed_s=state.ticks * cfg.dt,
         ticks=state.ticks,
         final_pose=world.drone,
@@ -523,13 +518,13 @@ def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
 
 def _parse_color(key: str, name) -> Color:
     """A config color: a JSON string naming a Color, in any case.  Any
-    other JSON value is rejected, naming its key."""
+    other JSON value, or an unknown name, is rejected, naming its key."""
     if not isinstance(name, str):
         raise ScenarioError(f"{key} must be a color name string, got {name!r}")
     try:
         return Color[name.upper()]
     except KeyError:
-        raise ScenarioError(f"unknown color {name!r}; known: "
+        raise ScenarioError(f"{key}: unknown color {name!r}; known: "
                             + ", ".join(c.name.lower() for c in Color)) from None
 
 

@@ -195,6 +195,35 @@ def test_csv_row_with_the_wrong_field_count_exits_2(tmp_path, capsys, command, n
         f"error: {what} file line 2: {len(row)} fields, the header has {header}\n"
 
 
+@pytest.mark.parametrize("command, name, column, expected", [
+    ("stats", "results.csv", "elapsed_s", "a finite number"),
+    ("stats", "results.csv", "trial", "an integer"),
+    ("spread", "trajectory_0.csv", "drone_x", "a finite number"),
+    ("spread", "trajectory_0.csv", "step", "an integer"),
+    ("spread", "trajectory_0.csv", "err_px", "empty or a finite number"),
+])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_csv_value_that_does_not_parse_exits_2(tmp_path, capsys, command, name, column,
+                                               expected, value):
+    # the last row: a successful trial of results.csv, a return-leg row of
+    # the trajectory, so an unchecked nan would reach mean_s or the spread
+    cfg = write_config(tmp_path, task="return",
+                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
+    what, last = ("results", "success") if command == "stats" else ("trajectory", "landed")
+    with open(out / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert last in rows[-1]
+    rows[-1][rows[0].index(column)] = value
+    with open(out / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main([command, "--in", str(out / name)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {what} file line {len(rows)}: {column} {value!r} is not {expected}\n"
+
+
 def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
     # drift and takeoff jitter on: every file the run writes must read back
     out = tmp_path / "out"
@@ -377,6 +406,24 @@ def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, mess
     assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, config", [
+    ("home_color", {"task": "return", "home_color": "purple"}),
+    ("search_color", {"task": "forward", "search_color": "purple"}),
+    ("color", {"task": "forward",
+               "markers": [{"x": 1.0, "y": 0.0, "radius": 0.06, "color": "purple"}]}),
+    ("color", {"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 80], "until": {"type": "marker", "color": "purple"}}]}}),
+])
+def test_run_rejects_an_unknown_color_naming_its_key(tmp_path, capsys, key, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {key}: unknown color 'purple'; known: pink, blue, red, green, yellow, orange\n"
     assert not out.exists()
 
 

@@ -144,15 +144,16 @@ def test_failed_trials_counted_but_excluded(tmp_path):
 
 
 def test_failed_trials_show_in_the_outcome_lines():
-    rows = [{"outcome": "failed:timeout", "elapsed_s": "1.0"}] * 3
+    rows = [{"outcome": "failed:timeout", "elapsed_s": 1.0}] * 3
     assert format_outcomes(rows) == "outcome failed:timeout: 3\nelapsed_p50_s: nan\n"
 
 
 @pytest.mark.parametrize("successes", [P95_MIN_SUCCESSES - 1, P95_MIN_SUCCESSES])
 def test_elapsed_p95_needs_ten_successes_beyond_it(successes):
-    rows = [{"outcome": "success", "elapsed_s": repr(0.1 * k)} for k in range(successes)]
-    rows += [{"outcome": "failed:search_exhausted", "elapsed_s": "0.0"},
-             {"outcome": "failed:timeout", "elapsed_s": "120.0"}]
+    # rows as read_results_csv returns them: elapsed_s already a float
+    rows = [{"outcome": "success", "elapsed_s": 0.1 * k} for k in range(successes)]
+    rows += [{"outcome": "failed:search_exhausted", "elapsed_s": 0.0},
+             {"outcome": "failed:timeout", "elapsed_s": 120.0}]
     lines = format_outcomes(rows).splitlines()
     times = np.array([0.1 * k for k in range(successes)])
     assert lines[:4] == ["outcome failed:search_exhausted: 1", "outcome failed:timeout: 1",

@@ -70,7 +70,7 @@ def test_return_log_holds_one_entry_per_stretch_of_constant_command():
     state = initial_state(sc.spec)
     labels = []
     while state.phase is not Phase.REVERSING:
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         labels.append(state.label)
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     # the whole forward search flies one imagined target: one entry
@@ -265,7 +265,7 @@ def test_exhausted_replay_cancels_the_commanded_outbound_motion(shape, reach, se
     world = sc.make_world(seed)
     state = initial_state(sc.spec)
     while True:
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         if state.label == "failed:return_exhausted":
             break
         assert not state.done, state.label

@@ -90,7 +90,7 @@ def test_tick_after_landed_raises():
     world = sc.make_world(0)
     state = initial_state(sc.spec)
     for _ in range(5000):
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         if state.done:
             break
         from visnav import step
@@ -108,7 +108,7 @@ def test_tick_after_failed_raises():
     world = sc.make_world(0)
     state = initial_state(spec)
     for _ in range(10):
-        state, _ = tick(state, spec, world, sc.cfg)
+        tick(state, spec, world, sc.cfg)
         if state.done:
             break
     assert state.phase is Phase.FAILED
@@ -125,13 +125,47 @@ def test_tick_after_a_finished_hover_raises(task):
     world = sc.make_world(1)
     state = initial_state(sc.spec)
     while not state.done:
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
-    assert state.succeeded and state.phase is Phase.HOVERING_ON_TARGET
+    assert state.done and state.phase is Phase.HOVERING_ON_TARGET
     ticks = state.ticks
     with pytest.raises(AbsorbingStateError, match="hovering_on_target"):
         tick(state, sc.spec, world, sc.cfg)
     assert state.ticks == ticks
+
+
+@pytest.mark.parametrize("task", ["track", "forward", "return", "coordination"])
+def test_tick_returns_what_run_records(task):
+    # run is tick, one row from what tick returns, then step: nothing else.
+    # The blind ticks (liftoff, the climb, the top of the climb, the start
+    # of the replay, touchdown) capture no frame; every other tick does.
+    from visnav import TrajectoryRow, step
+    sc = default_scenario(task)
+    world = sc.make_world(4)
+    state = initial_state(sc.spec)
+    rows, frames, blind = [], [], []
+    while not state.done:
+        before = state.phase
+        cmd, err, detected, frame = tick(state, sc.spec, world, sc.cfg)
+        d = world.drone
+        rows.append(TrajectoryRow(world.steps, world.time, d.x, d.y, d.z,
+                                  cmd.vel_forward, cmd.vel_right, state.label,
+                                  "" if detected is None else detected.name.lower(), err))
+        frames.append(frame)
+        blind.append(before is Phase.TAKING_OFF or (before, state.phase) in {
+            (Phase.HOVERING_ON_TARGET, Phase.REVERSING), (Phase.LANDING, Phase.LANDED)})
+        if not state.done:
+            step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
+
+    sunk = []
+    result = run(sc.spec, sc.make_world(4), sc.cfg,
+                 frame_sink=lambda i, frame: sunk.append((i, frame.spots)))
+    assert result.success
+    assert tuple(rows) == result.rows
+    assert [frame is None for frame in frames] == blind
+    assert any(blind) == (task != "track")
+    assert sunk == [(row.step, frame.spots) for row, frame in zip(rows, frames)
+                    if frame is not None]
 
 
 def test_timeout_outcome_is_reported():
@@ -196,7 +230,7 @@ def test_lost_detection_reverts_to_search_segment():
     world = sc.make_world(0)
     state = initial_state(sc.spec)
     for _ in range(5000):
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         if state.phase is Phase.SERVOING:
             break
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
@@ -204,7 +238,7 @@ def test_lost_detection_reverts_to_search_segment():
     world.markers = ()   # the marker disappears mid-servo
     transitions = []
     for _ in range(12):  # LOST_PATIENCE_TICKS dropouts, then reversion
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         transitions.append(state.phase)
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     assert transitions[-1] is Phase.SEARCHING
@@ -567,7 +601,7 @@ def test_exhausted_return_replay_fails():
     state = initial_state(sc.spec)
     rows = []
     while not state.done:
-        state, cmd = tick(state, sc.spec, world, sc.cfg)
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
         rows.append((state.label, cmd))
         step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
     n = len(state.leg.segments)
