@@ -5,7 +5,10 @@ A campaign runs the same scenario `trials` times with derived seeds
 trials into mean / sample standard deviation, and optionally writes
 results.csv, per-trial trajectory CSVs and summary.txt into an output
 directory.  Everything is a pure function of (scenario, base_seed,
-trials), so outputs are bit-identical across repeated runs.
+trials), so outputs are bit-identical across repeated runs.  A zero-noise
+world never draws a random number, so every seed flies the same mission:
+a zero-noise campaign flies it once and its records share that one
+MissionResult, unless it dumps frames, which runs every trial.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .mission import MissionResult, Scenario, run
 from .perception import frame_filename, write_ppm
-from .sim import TRAJECTORY_COLUMNS, TrajectoryRow, write_trajectory_csv
+from .sim import TRAJECTORY_COLUMNS, NoiseModel, TrajectoryRow, write_trajectory_csv
 
 RESULTS_COLUMNS = ("trial", "seed", "outcome", "elapsed_s", "ticks", "final_x", "final_y")
 
@@ -120,6 +123,11 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     0 (or False) dumps none, and a negative stride raises ValueError.
     When a trial or a write raises, every directory this call created is
     removed, with what was written into it, before the error propagates.
+
+    Under NoiseModel.zero() the mission does not depend on the seed, so
+    trial 0 is flown and trials 1..N-1 get its frozen MissionResult (each
+    record keeps its own trial and seed); with frames dumped every trial
+    still runs, so each trial_{trial}/ gets its own frames.
     """
     stride = operator.index(dump_frames)
     if stride < 0:
@@ -133,13 +141,19 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
             path.mkdir()
             created.append(path)
 
+    dumps = bool(stride) and out_path is not None
+    fly_once = campaign.scenario.cfg.noise == NoiseModel.zero() and not dumps
+
     try:
         records: list[TrialRecord] = []
         for trial in range(campaign.trials):
             seed = campaign.seed_for(trial)
+            if fly_once and records:
+                records.append(TrialRecord(trial, seed, records[0].result))
+                continue
             world = campaign.scenario.make_world(seed)
             sink = None
-            if stride and out_path is not None:
+            if dumps:
                 def sink(step: int, frame, d: Path = out_path / f"trial_{trial}",
                          captured: Iterator[int] = itertools.count()) -> None:
                     if next(captured) % stride == 0:
@@ -202,7 +216,8 @@ def _read_csv(path: str | Path, columns: Sequence[str],
     column in ``parsers`` (all of them among ``columns``) parsed once;
     raises MalformedLogError when the header lacks any of ``columns``, a
     row has more or fewer fields than the header (blank lines are skipped)
-    or a typed cell does not parse."""
+    or a typed cell does not parse, holds an underscore or is padded with
+    whitespace."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -219,11 +234,15 @@ def _read_csv(path: str | Path, columns: Sequence[str],
                     f"the header has {len(header)}")
             row = dict(zip(header, fields))
             for name, parse in parsers.items():
+                cell = row[name]
                 try:
-                    row[name] = parse(row[name])
+                    # int() and float() also take digit separators and padding
+                    if "_" in cell or cell != cell.strip():
+                        raise ValueError
+                    row[name] = parse(cell)
                 except ValueError:
                     raise MalformedLogError(
-                        f"{what} file line {reader.line_num}: {name} {row[name]!r} "
+                        f"{what} file line {reader.line_num}: {name} {cell!r} "
                         f"is not {_EXPECTED[parse]}") from None
             rows.append(row)
         return rows

@@ -1,5 +1,6 @@
 """Campaign runner, statistics and the path-spread measure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visnav import (Campaign, InsufficientDataError, MalformedLogError, MissionResult,
-                    NoiseModel, Pose, TrajectoryRow, TrialRecord, default_scenario,
+from visnav import (Campaign, Color, InsufficientDataError, MalformedLogError, Marker,
+                    MissionResult, NoiseModel, Pose, TrajectoryRow, TrialRecord, default_scenario,
                     path_spread, run, run_campaign, sample_stats)
 from visnav.harness import (P95_MIN_SUCCESSES, format_outcomes, format_summary,
                             load_trajectory, read_results_csv, summarize_results,
@@ -55,6 +56,50 @@ def test_zero_noise_campaign_has_zero_std():
     assert stats.success_count == 5
     assert stats.std_dev == 0.0
     assert len({r.result.elapsed_s for r in stats.records}) == 1
+
+
+_coord = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def _zero_noise_scenarios(draw):
+    sc = default_scenario(draw(st.sampled_from(["track", "forward", "return", "coordination"])),
+                          noise=NoiseModel.zero())
+    cfg = dataclasses.replace(
+        sc.cfg, carrier_height=draw(st.floats(0.0, 0.6, exclude_max=True)),
+        carrier_waypoints=draw(st.lists(st.tuples(_coord, _coord), max_size=3)))
+    return dataclasses.replace(sc, cfg=cfg, drone_start=draw(st.tuples(_coord, _coord)),
+                               markers=(Marker(draw(st.tuples(_coord, _coord)), 0.06,
+                                               Color.PINK),))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_zero_noise_scenarios(), st.integers(0, 2**32), st.integers(1, 2**32))
+def test_zero_noise_mission_does_not_depend_on_the_seed(sc, seed, offset):
+    # the premise that lets run_campaign fly a zero-noise mission once
+    results = []
+    for s in (seed, seed + offset):
+        world = sc.make_world(s)
+        results.append(run(sc.spec, world, sc.cfg))
+        assert "rng" not in vars(world)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.zero(), NoiseModel()])
+def test_campaign_records_equal_fresh_runs(noise):
+    sc = default_scenario("return", noise=noise)
+    stats = run_campaign(Campaign(sc, trials=4, base_seed=5))
+    assert [rec.seed for rec in stats.records] == [5, 6, 7, 8]
+    for rec in stats.records:
+        assert rec.result == run(sc.spec, sc.make_world(rec.seed), sc.cfg)
+
+
+def test_zero_noise_campaign_dumps_the_same_frames_for_every_trial(tmp_path):
+    sc = default_scenario("return", noise=NoiseModel.zero())
+    run_campaign(Campaign(sc, trials=3), out_dir=tmp_path, dump_frames=50)
+    dumps = [{p.name: p.read_bytes() for p in (tmp_path / f"trial_{t}").iterdir()}
+             for t in range(3)]
+    assert dumps[0] and dumps[1] == dumps[0] and dumps[2] == dumps[0]
 
 
 def test_campaign_seeds_are_base_plus_index():
@@ -132,7 +177,6 @@ def test_campaign_output_bytes_are_deterministic(tmp_path):
 
 
 def test_failed_trials_counted_but_excluded(tmp_path):
-    import dataclasses
     sc = default_scenario("forward", noise=NoiseModel.zero())
     spec = dataclasses.replace(sc.spec, timeout=1.0)   # everything times out
     sc = dataclasses.replace(sc, spec=spec)
