@@ -216,8 +216,8 @@ def _read_csv(path: str | Path, columns: Sequence[str],
     column in ``parsers`` (all of them among ``columns``) parsed once;
     raises MalformedLogError when the header lacks any of ``columns``, a
     row has more or fewer fields than the header (blank lines are skipped)
-    or a typed cell does not parse, holds an underscore or is padded with
-    whitespace."""
+    or a typed cell does not parse, holds an underscore or a non-ASCII
+    character or is padded with whitespace."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -236,8 +236,8 @@ def _read_csv(path: str | Path, columns: Sequence[str],
             for name, parse in parsers.items():
                 cell = row[name]
                 try:
-                    # int() and float() also take digit separators and padding
-                    if "_" in cell or cell != cell.strip():
+                    # int() and float() also take digit separators, padding, non-ASCII digits
+                    if "_" in cell or cell != cell.strip() or not cell.isascii():
                         raise ValueError
                     row[name] = parse(cell)
                 except ValueError:

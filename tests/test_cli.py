@@ -202,7 +202,8 @@ def test_csv_row_with_the_wrong_field_count_exits_2(tmp_path, capsys, command, n
     ("spread", "trajectory_0.csv", "step", "an integer"),
     ("spread", "trajectory_0.csv", "err_px", "empty or a finite number"),
 ])
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1_0", "1_0.5", " 2 "])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1_0", "1_0.5", " 2 ", "\u0663",
+                                   "\uff11.5"])
 def test_csv_value_that_does_not_parse_exits_2(tmp_path, capsys, command, name, column,
                                                expected, value):
     # the last row: a successful trial of results.csv, a return-leg row of

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from visnav import (Color, Detection, Frame, FrameSpec, GroundedError, Marker, PixelPoint,
@@ -346,6 +346,48 @@ def test_far_centered_disc_matches_full_grid(z, yaw, log_distance, angle, u, v, 
     got, want, raster_calls = _detect_all(frame)
     assert got == want
     assert raster_calls == 0
+
+
+SMALL = FrameSpec(64, 48, 32.0)
+
+
+@st.composite
+def pixel_discs(draw):
+    """(x, y, radius) of a disc on SMALL whose rim passes near a pixel in or
+    just off the frame, so its center lies off any edge once the radius
+    outgrows the frame.  Each center coordinate is snapped to an integer or
+    a half-integer, or left as drawn, then moved by up to one ulp."""
+    radius = draw(st.floats(0.3, 3000.0) | st.integers(1, 6000).map(lambda k: k / 2)
+                  | st.integers(1, 40).map(float))
+    angle = draw(st.floats(0.0, 2 * math.pi))
+    rim = (draw(st.floats(-2.0, SMALL.width + 1.0)), draw(st.floats(-2.0, SMALL.height + 1.0)))
+    center = []
+    for v in (rim[0] + radius * math.cos(angle), rim[1] + radius * math.sin(angle)):
+        frac = draw(st.sampled_from([0.0, 0.5, None]))
+        v = v if frac is None else math.floor(v) + frac
+        toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+        center.append(v if toward is None else math.nextafter(v, toward))
+    return center[0], center[1], radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(pixel_discs())
+# discs whose first probe pass does not settle: empty tangent rows (the top
+# and bottom rows reach no pixel center), rows wholly left of the clipped
+# box, and sqrt estimates one column off, which must step.  At x = 32 + 1 ulp
+# the tangent rows cover column 32 but their first column is estimated at
+# 33; at y = 11 + 1 ulp row 3 covers column 13 but its first is put at 14.
+@example((32.5, 24.0, 5.0))
+@example((-3.5, 24.0, 5.0))
+@example((math.nextafter(32.0, math.inf), 24.0, 5.0))
+@example((28.0, math.nextafter(11.0, math.inf), 17.0))
+def test_disc_moments_match_its_raster(disc):
+    x, y, radius = disc
+    discs = Frame(SMALL, ((Color.PINK.value, x, y, radius),)).discs
+    assume(discs)
+    d, = discs
+    region = perception._raster(discs, (d.row0, d.row1, d.col0, d.col1))
+    assert perception._moments(d) == perception._label_moments(region, d.code, d.row0, d.col0)
 
 
 @pytest.mark.parametrize("z", [0.3, 0.1, 0.05])
