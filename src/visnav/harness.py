@@ -25,14 +25,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mission import MissionResult, Scenario, run
+from .mission import MissionResult, Phase, Scenario, run
 from .perception import frame_filename, write_ppm
 from .sim import TRAJECTORY_COLUMNS, NoiseModel, TrajectoryRow, write_trajectory_csv
 
 RESULTS_COLUMNS = ("trial", "seed", "outcome", "elapsed_s", "ticks", "final_x", "final_y")
 
 #: fsm_state prefixes that make up the return leg of an out-and-back log.
-RETURN_PHASES = ("reversing", "servoing_home", "landing", "landed")
+RETURN_PHASES = tuple(p.value for p in (Phase.REVERSING, Phase.SERVOING_HOME,
+                                        Phase.LANDING, Phase.LANDED))
 
 
 class InsufficientDataError(ValueError):
@@ -183,8 +184,8 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
         writer.writerow(RESULTS_COLUMNS)
         for rec in records:
             r = rec.result
-            writer.writerow([rec.trial, rec.seed, r.outcome, repr(r.elapsed_s),
-                             r.ticks, repr(r.final_pose.x), repr(r.final_pose.y)])
+            writer.writerow([rec.trial, rec.seed, r.outcome, r.elapsed_s,
+                             r.ticks, r.final_pose.x, r.final_pose.y])
 
 
 def _finite(text: str) -> float:
@@ -312,10 +313,10 @@ def path_spread(rows: Sequence[TrajectoryRow]) -> float:
     """
     if not rows:
         raise MalformedLogError("empty trajectory log")
-    hover_idx = [i for i, r in enumerate(rows)
-                 if r.fsm_state.split(":", 1)[0] == "hovering_on_target"]
+    hover = Phase.HOVERING_ON_TARGET.value
+    hover_idx = [i for i, r in enumerate(rows) if r.fsm_state.split(":", 1)[0] == hover]
     if not hover_idx:
-        raise MalformedLogError("log has no hovering_on_target phase; "
+        raise MalformedLogError(f"log has no {hover} phase; "
                                 "not a completed out-and-back mission")
     apex_i = hover_idx[-1]
     start = np.array([rows[0].drone_x, rows[0].drone_y])

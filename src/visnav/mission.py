@@ -35,9 +35,9 @@ from typing import Callable, Optional
 from .control import (ZERO_COMMAND, ControllerGains, VelocityCommand,
                       compute_command, pixel_error)
 from .geometry import FrameSpec, PixelPoint, Pose
-from .imagination import (Distance, Duration, EmptyLogError, ImaginedSegment,
-                          ImaginedTrajectory, LogEntry, MarkerDetected, MotionLog,
-                          forward_target, reverse, square_trajectory)
+from .imagination import (DEFAULT_OFFSET_PX, Distance, Duration, EmptyLogError,
+                          ImaginedSegment, ImaginedTrajectory, LogEntry, MarkerDetected,
+                          MotionLog, forward_target, reverse, square_trajectory)
 from .perception import Color, Detection, Frame, Marker, detect
 from .sim import (NoiseModel, SimConfig, TrajectoryRow, WorldState, capture,
                   make_world, step)
@@ -121,8 +121,8 @@ class MissionState:
     """FSM state and per-phase bookkeeping carried from tick to tick, owned by
     one loop; what a tick commands and sees is tick's return value."""
 
-    phase: Phase
-    label: str  # fsm_state of the trajectory log, written at each phase or segment change
+    phase: Phase = field(init=False)  # phase and label are written only by _enter
+    label: str = field(init=False)  # fsm_state of the trajectory log
     segment_index: int = 0
     log: MotionLog = field(default_factory=MotionLog)
     ticks: int = 0
@@ -143,9 +143,12 @@ class MissionState:
 def initial_state(spec: MissionSpec) -> MissionState:
     """TRACK_VISIBLE starts airborne and servoing; the rest start on the
     carrier, taking off."""
+    state = MissionState()
     if spec.kind is MissionKind.TRACK_VISIBLE:
-        return MissionState(Phase.SERVOING, f"servoing:{_COLOR_NAMES[spec.search_color]}")
-    return MissionState(Phase.TAKING_OFF, Phase.TAKING_OFF.value)
+        _enter(state, Phase.SERVOING, _COLOR_NAMES[spec.search_color])
+    else:
+        _enter(state, Phase.TAKING_OFF)
+    return state
 
 
 #: Color names as logged: a row's detected_color (None: nothing) and a servoing label's.
@@ -539,9 +542,21 @@ def _object(where: str, node, known: tuple[str, ...]) -> dict:
     return node
 
 
-def _field_names(cls) -> tuple[str, ...]:
-    """The keys of a config section: the fields of the dataclass it builds."""
-    return tuple(f.name for f in fields(cls))
+def _settings(where: str, node, default) -> dict:
+    """The settings of a config section, whose keys are the fields of
+    ``default``'s dataclass.  A setting whose default is a number must be a
+    JSON number that a float holds; one whose default is a float is read as
+    a float, so 1 and 1.0 build the same world.  The dataclass checks the
+    rest."""
+    _object(where, node, tuple(f.name for f in fields(default)))
+    settings = dict(node)
+    for key, value in node.items():
+        kind = type(getattr(default, key))
+        if kind in (int, float):
+            number = _number(key, value)
+            if kind is float:
+                settings[key] = number
+    return settings
 
 
 def _typed(where: str, node, types: dict[str, tuple[str, ...]],
@@ -581,12 +596,11 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
         return forward_search_trajectory(frame, search_color)
     if kind == "square":
         return square_trajectory(frame, _number("side_duration_s", node["side_duration_s"]),
-                                 _number("offset_px", node.get("offset_px", 100.0)))
+                                 _number("offset_px", node.get("offset_px", DEFAULT_OFFSET_PX)))
     segs = []
     for s in _array("segments", node["segments"]):
         _object("segment", s, ("target", "until"))
-        tx, ty = _finite_pair("target", s["target"])
-        segs.append(ImaginedSegment(PixelPoint(float(tx), float(ty)),
+        segs.append(ImaginedSegment(PixelPoint(*_finite_pair("target", s["target"])),
                                     _parse_termination(s["until"])))
     return ImaginedTrajectory(tuple(segs))
 
@@ -599,13 +613,13 @@ def _array(key: str, value) -> list:
 
 
 def _finite_pair(key: str, value) -> tuple[float, float]:
-    """A config [x, y] point as a tuple, rejected here, naming its key,
-    unless it is a JSON array of two finite numbers (it fails mid-run
-    otherwise)."""
+    """A config [x, y] point as a tuple of floats, rejected here, naming
+    its key, unless it is a JSON array of two finite numbers (it fails
+    mid-run otherwise)."""
     if not (isinstance(value, list) and len(value) == 2
             and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
         raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
-    return tuple(value)
+    return float(value[0]), float(value[1])
 
 
 def _number(key: str, value) -> float:
@@ -647,38 +661,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def build_scenario(data: dict) -> Scenario:
     """Build a Scenario from a config tree.
 
-    Schema (all keys optional except "task"; a key it does not name, a
-    "trajectory" in a track config, or a section or list of another JSON
-    type is rejected)::
-
-        {
-          "task": "track" | "forward" | "return" | "coordination",
-          "search_color": "pink",
-          "home_color": "blue",
-          "timeout_s": 120.0,
-          "trials": 20,
-          "base_seed": 0,
-          "markers": [{"x": 2.0, "y": 0.0, "radius": 0.06, "color": "pink"}],
-          "drone_start": [0.0, 0.0],
-          "carrier_start": [0.0, 0.0],
-          "trajectory": {"type": "forward"}
-                        | {"type": "square", "side_duration_s": 4.0, "offset_px": 100}
-                        | {"type": "segments", "segments": [
-                             {"target": [320, 80],
-                              "until": {"type": "marker", "color": "pink"}
-                                       | {"type": "duration", "seconds": 5.0}
-                                       | {"type": "distance", "meters": 1.0}}]},
-          "sim": {
-            "dt": 0.1, "altitude": 1.0, "min_blob_size": 10,
-            "frame": {"width": 640, "height": 360, "focal_length": 320.0},
-            "gains": {"k": 0.0005, "hover_threshold": 50.0, "max_speed": 1.0,
-                      "literal_axes": false},
-            "noise": {"drift_std": 0.01, "takeoff_jitter_std": 0.05},
-            "carrier_height": 0.0, "carrier_marker_radius": 0.1,
-            "carrier_speed": 0.3, "carrier_waypoints": [[1.0, 0.0]],
-            "climb_rate": 0.5, "descent_rate": 0.3
-          }
-        }
+    The schema is README's "Scenario config file": every key is optional
+    except "task", and a key it does not name, a "trajectory" in a track
+    config, or a section or list of another JSON type is rejected.
     """
     _object("config", data, ("task", "search_color", "home_color", "timeout_s", "trials",
                              "base_seed", "markers", "drone_start", "carrier_start",
@@ -690,21 +675,15 @@ def build_scenario(data: dict) -> Scenario:
     base = default_scenario(task)
 
     try:
-        sim_node = dict(_object("sim", data.get("sim", {}), _field_names(SimConfig)))
-        frame_node = _object("frame", sim_node.pop("frame", {}), _field_names(FrameSpec))
-        gains_node = _object("gains", sim_node.pop("gains", {}), _field_names(ControllerGains))
-        noise_node = _object("noise", sim_node.pop("noise", {}), _field_names(NoiseModel))
-        for node in (sim_node, frame_node, gains_node, noise_node):
-            for key, value in node.items():
-                if key not in ("carrier_waypoints", "literal_axes"):
-                    _number(key, value)
+        sim_node = _settings("sim", data.get("sim", {}), base.cfg)
+        for key in ("frame", "gains", "noise"):
+            default = getattr(base.cfg, key)
+            sim_node[key] = replace(default, **_settings(key, sim_node.get(key, {}), default))
         if "carrier_waypoints" in sim_node:
             sim_node["carrier_waypoints"] = tuple(
                 _finite_pair("carrier_waypoints", wp)
                 for wp in _array("carrier_waypoints", sim_node["carrier_waypoints"]))
-        cfg = replace(base.cfg, frame=replace(base.cfg.frame, **frame_node),
-                      gains=replace(base.cfg.gains, **gains_node),
-                      noise=replace(base.cfg.noise, **noise_node), **sim_node)
+        cfg = replace(base.cfg, **sim_node)
 
         search_color = _parse_color("search_color",
                                     data.get("search_color", base.spec.search_color.name))

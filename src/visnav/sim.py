@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -222,13 +222,10 @@ def capture(world: WorldState, cfg: SimConfig) -> Frame:
 
 # --- trajectory log schema -------------------------------------------------
 
-TRAJECTORY_COLUMNS = ("step", "time_s", "drone_x", "drone_y", "drone_z",
-                      "vel_fwd", "vel_right", "fsm_state", "detected_color", "err_px")
-
 
 @dataclass(frozen=True)
 class TrajectoryRow:
-    """One per-tick record of the closed-loop state, as written to CSV."""
+    """One per-tick record of the closed-loop state; its fields are the CSV columns."""
 
     step: int
     time_s: float
@@ -242,17 +239,13 @@ class TrajectoryRow:
     err_px: Optional[float]
 
 
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))
+
+
 def write_trajectory_csv(rows: Sequence[TrajectoryRow], path: str | Path) -> None:
-    """Write rows with the canonical header.  Floats are written with repr
-    so harness.load_trajectory reads them back bit-exactly."""
+    """Write rows with the canonical header.  csv writes a float as str, which
+    harness.load_trajectory reads back bit-exactly, and None as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.step, repr(r.time_s), repr(r.drone_x), repr(r.drone_y),
-                repr(r.drone_z), repr(r.vel_fwd), repr(r.vel_right),
-                r.fsm_state, r.detected_color,
-                "" if r.err_px is None else repr(r.err_px),
-            ])
-
+        writer.writerows(map(operator.attrgetter(*TRAJECTORY_COLUMNS), rows))

@@ -501,3 +501,49 @@ def test_run_with_a_duration_too_long_to_count_in_ticks_times_out(tmp_path, caps
     assert "Traceback" not in captured.out + captured.err
     with open(out / "results.csv", newline="") as fh:
         assert [row["outcome"] for row in csv.DictReader(fh)] == ["failed:timeout"]
+
+
+#: Config keys whose values are JSON integers by schema, not float settings.
+_INTEGER_KEYS = {"trials", "base_seed", "min_blob_size", "width", "height"}
+
+
+def _spelled_as_floats(node, key=None):
+    """The config tree with every integer in a float setting written as a float."""
+    if isinstance(node, dict):
+        return {k: _spelled_as_floats(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_spelled_as_floats(v, key) for v in node]
+    if type(node) is int and key not in _INTEGER_KEYS:
+        return float(node)
+    return node
+
+
+@pytest.mark.parametrize("task", ["track", "forward", "return", "coordination"])
+def test_integers_in_float_settings_write_the_same_bytes(tmp_path, capsys, task):
+    config = {
+        "task": task, "timeout_s": 200, "drone_start": [0, 0], "carrier_start": [0, 0],
+        "markers": [{"x": 0 if task == "track" else 2, "y": 0, "radius": 0.06,
+                     "color": "pink"}],
+        "sim": {"dt": 1, "altitude": 1, "carrier_height": 0, "carrier_speed": 1,
+                "carrier_waypoints": [[0, 0]], "climb_rate": 1, "descent_rate": 1,
+                "min_blob_size": 10, "frame": {"width": 640, "height": 360, "focal_length": 320},
+                "gains": {"hover_threshold": 50, "max_speed": 1},
+                "noise": {"drift_std": 0, "takeoff_jitter_std": 0}},
+    }
+    if task != "track":
+        config["trajectory"] = {"type": "segments", "segments": [
+            {"target": [320, 80], "until": {"type": "distance", "meters": 3}}]}
+    outs = []
+    for name, tree in (("int", config), ("float", _spelled_as_floats(config))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tree))
+        outs.append(tmp_path / name)
+        assert main(["run", "--config", str(path), "--trials", "2", "--dump-frames", "40",
+                     "--out", str(outs[-1])]) == 0
+    assert "1.0" not in (tmp_path / "int.json").read_text()
+    assert "success 2/2" in capsys.readouterr().out
+    files = [sorted(p.relative_to(out) for p in out.rglob("*")) for out in outs]
+    assert files[0] == files[1] and len(files[0]) > 4
+    for rel in files[0]:
+        a, b = (out / rel for out in outs)
+        assert a.is_dir() or a.read_bytes() == b.read_bytes(), rel

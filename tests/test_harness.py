@@ -134,7 +134,9 @@ def test_campaign_outputs_and_roundtrip(tmp_path):
     assert summary == format_summary(recomputed, len(rows))
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Finite floats, with those whose text is easy to get wrong drawn often.
+_finite = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]) \
+    | st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -166,6 +168,19 @@ def test_results_csv_round_trips_any_records(tmp_path_factory, records):
             for r in rows] == \
         [repr((rec.result.elapsed_s, rec.result.final_pose.x, rec.result.final_pose.y))
          for rec in records]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trial_records())
+def test_results_csv_bytes_are_repr_per_field(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("results") / "results.csv"
+    write_results_csv(records, path)
+    lines = ["trial,seed,outcome,elapsed_s,ticks,final_x,final_y"]
+    for rec in records:
+        r = rec.result
+        lines.append(f"{rec.trial},{rec.seed},{r.outcome},{r.elapsed_s!r},{r.ticks},"
+                     f"{r.final_pose.x!r},{r.final_pose.y!r}")
+    assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
 def test_campaign_output_bytes_are_deterministic(tmp_path):

@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from visnav import (ZERO_COMMAND, AbsorbingStateError, Color, MissionKind, MissionSpec,
-                    NoiseModel, Phase, Scenario, ScenarioError, SimConfig,
-                    audit_transitions, default_scenario, forward_search_trajectory,
+from visnav import (ZERO_COMMAND, AbsorbingStateError, Color, ControllerGains, FrameSpec,
+                    MissionKind, MissionSpec, NoiseModel, Phase, Scenario, ScenarioError,
+                    SimConfig, audit_transitions, default_scenario, forward_search_trajectory,
                     initial_state, load_scenario, run, square_trajectory, tick)
 
 ZERO_NOISE = NoiseModel.zero()
@@ -547,6 +548,7 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "sim": {"min_blob_size": -5}}),
     json.dumps({"task": "forward", "sim": {"min_blob_size": 2.5}}),
     '{"task": "forward", "timeout_s": 1' + "0" * 400 + "}",   # no float holds it
+    '{"task": "track", "sim": {"frame": {"width": 1' + "0" * 400 + "}}}",
     # NaN, an infinity or a carrier that cannot reach its waypoints
     '{"task": "track", "sim": {"gains": {"hover_threshold": NaN}}}',
     '{"task": "track", "sim": {"gains": {"max_speed": Infinity}}}',
@@ -608,3 +610,17 @@ def test_exhausted_return_replay_fails():
     assert rows[-2][0] == f"reversing:{n - 1}"
     assert rows[-1] == ("failed:return_exhausted", ZERO_COMMAND)
     assert (len(rows), n) == (758, 88)
+
+
+def test_the_readme_config_example_names_every_key():
+    from visnav.mission import build_scenario
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    with pytest.raises(ScenarioError, match="known: ") as err:
+        build_scenario({**example, "unknown_key": 0})
+    assert set(example) == set(str(err.value).split("known: ", 1)[1].split(", "))
+    sim = example["sim"]
+    for section, cls in ((sim, SimConfig), (sim["frame"], FrameSpec),
+                         (sim["gains"], ControllerGains), (sim["noise"], NoiseModel)):
+        assert set(section) == {f.name for f in dataclasses.fields(cls)}
+    assert build_scenario(example).cfg.carrier_waypoints == ((1.0, 0.0),)
