@@ -16,11 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (Campaign, MalformedLogError, format_outcomes, format_summary,
-                      load_trajectory, path_spread, read_results_csv, run_campaign,
-                      summarize_results)
-from .mission import MissionKind, ScenarioError, default_scenario, load_scenario
+from .harness import (format_outcomes, format_summary, load_trajectory, path_spread,
+                      read_results_csv, run_campaign, summarize_results)
 from .perception import ppm_size
+from .scenario import Campaign, MissionKind, ScenarioError, default_scenario, load_campaign
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,25 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
-        scenario = load_scenario(args.config)
+        campaign = load_campaign(args.config)
     elif args.task is not None:
-        scenario = default_scenario(args.task)
+        campaign = Campaign(default_scenario(args.task))
     else:
         raise ScenarioError("either --task or --config is required")
-    trials = args.trials if args.trials is not None else (scenario.trials or 20)
-    base_seed = args.seed if args.seed is not None else (scenario.base_seed or 0)
-    if trials < 1:
-        raise ScenarioError("--trials must be >= 1")
+    flags = {"trials": args.trials, "base_seed": args.seed}
+    campaign = replace(campaign, **{k: v for k, v in flags.items() if v is not None})
     if args.literal_eq3:
-        gains = replace(scenario.cfg.gains, literal_axes=True)
-        scenario = replace(scenario, cfg=replace(scenario.cfg, gains=gains))
+        cfg = campaign.scenario.cfg
+        cfg = replace(cfg, gains=replace(cfg.gains, literal_axes=True))
+        campaign = replace(campaign, scenario=replace(campaign.scenario, cfg=cfg))
 
-    campaign = Campaign(scenario, trials=trials, base_seed=base_seed)
-    stride = 0
+    stride, trials = 0, campaign.trials
     if args.dump_frames is not None:
         stride = args.dump_frames
         if stride < 1:
             raise ScenarioError(f"--dump-frames stride must be >= 1, got {stride}")
+        scenario = campaign.scenario
         size = ppm_size(scenario.cfg.frame)
         per_trial = math.ceil((scenario.spec.timeout / scenario.cfg.dt + 1) / stride)
         total = trials * per_trial * size
@@ -92,10 +90,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         r = rec.result
         print(f"trial {rec.trial:3d} seed {rec.seed} {r.outcome:24s} "
               f"elapsed {r.elapsed_s:8.1f} s  final ({r.final_pose.x:+.3f}, {r.final_pose.y:+.3f})")
-    print(f"success {stats.success_count}/{campaign.trials}  "
+    print(f"success {stats.success_count}/{trials}  "
           f"mean {stats.mean:.4f} s  std_dev {stats.std_dev:.4f} s")
     print(f"wrote {args.out}/results.csv")
-    if args.strict and stats.success_count < campaign.trials:
+    if args.strict and stats.success_count < trials:
         return 3
     return 0
 
@@ -117,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, MalformedLogError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError and MalformedLogError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mission import MissionResult, Phase, Scenario, run
-from .perception import frame_filename, write_ppm
+from .mission import MissionResult, Phase, run
+from .perception import frame_filename, ppm_size, write_ppm
+from .scenario import Campaign
 from .sim import TRAJECTORY_COLUMNS, NoiseModel, TrajectoryRow, write_trajectory_csv
 
 RESULTS_COLUMNS = ("trial", "seed", "outcome", "elapsed_s", "ticks", "final_x", "final_y")
+
+#: Largest frame, in PPM bytes, that run_campaign dumps: 32 MiB holds 3840x2160.
+MAX_DUMP_FRAME_BYTES = 1 << 25
 
 #: fsm_state prefixes that make up the return leg of an out-and-back log.
 RETURN_PHASES = tuple(p.value for p in (Phase.REVERSING, Phase.SERVOING_HOME,
@@ -54,24 +58,6 @@ def sample_stats(values: Iterable[float]) -> tuple[float, float]:
         raise InsufficientDataError(
             f"sample standard deviation needs >= 2 values, got {vals.size}")
     return float(vals.mean()), float(vals.std(ddof=1))
-
-
-@dataclass(frozen=True)
-class Campaign:
-    """A scenario plus the trial protocol: how many runs, seeded how."""
-
-    scenario: Scenario
-    trials: int = 20
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("a campaign needs at least one trial")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-
-    def seed_for(self, trial: int) -> int:
-        return self.base_seed + trial
 
 
 @dataclass(frozen=True)
@@ -121,7 +107,8 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     ``dump_frames`` stride n >= 1 (True means 1) additionally saves every
     n-th captured frame of a trial, from its first, under trial_{trial}/ as
     PPM files named by step, creating that directory at its first frame;
-    0 (or False) dumps none, and a negative stride raises ValueError.
+    0 (or False) dumps none, and a negative stride raises ValueError, as
+    does a dump of frames over MAX_DUMP_FRAME_BYTES, before any trial runs.
     When a trial or a write raises, every directory this call created is
     removed, with what was written into it, before the error propagates.
 
@@ -134,6 +121,11 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     if stride < 0:
         raise ValueError(f"dump_frames stride must be >= 0, got {stride}")
     out_path = Path(out_dir) if out_dir is not None else None
+    dumps = bool(stride) and out_path is not None
+    size = ppm_size(campaign.scenario.cfg.frame)
+    if dumps and size > MAX_DUMP_FRAME_BYTES:
+        raise ValueError(f"frame.width x frame.height makes a {size}-byte frame, over the "
+                         f"dump cap of {MAX_DUMP_FRAME_BYTES}: {campaign.scenario.cfg.frame}")
     created: list[Path] = []  # outermost first
 
     def make_dirs(path: Path) -> None:
@@ -142,13 +134,12 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
             path.mkdir()
             created.append(path)
 
-    dumps = bool(stride) and out_path is not None
     fly_once = campaign.scenario.cfg.noise == NoiseModel.zero() and not dumps
 
     try:
         records: list[TrialRecord] = []
         for trial in range(campaign.trials):
-            seed = campaign.seed_for(trial)
+            seed = campaign.base_seed + trial
             if fly_once and records:
                 records.append(TrialRecord(trial, seed, records[0].result))
                 continue

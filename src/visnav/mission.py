@@ -25,41 +25,27 @@ center (see imagination).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Optional
 
 from .control import (ZERO_COMMAND, ControllerGains, VelocityCommand,
                       compute_command, pixel_error)
 from .geometry import FrameSpec, PixelPoint, Pose
-from .imagination import (DEFAULT_OFFSET_PX, Distance, Duration, EmptyLogError,
-                          ImaginedSegment, ImaginedTrajectory, LogEntry, MarkerDetected,
-                          MotionLog, forward_target, reverse, square_trajectory)
-from .perception import Color, Detection, Frame, Marker, detect
-from .sim import (NoiseModel, SimConfig, TrajectoryRow, WorldState, capture,
-                  make_world, step)
+from .imagination import (Distance, Duration, EmptyLogError, ImaginedSegment,
+                          ImaginedTrajectory, LogEntry, MarkerDetected, MotionLog, reverse)
+from .perception import Color, Detection, Frame, detect
+from .scenario import MAX_MISSION_TICKS, _RETURNING_KINDS, MissionKind, MissionSpec
+from .scenario import build_scenario  # noqa: F401  (bench/workloads.py reads it from here)
+from .sim import SimConfig, TrajectoryRow, WorldState, capture, step
 
 HOVER_DWELL_S = 1.0          # time to sit on the found marker before returning
 LAND_THRESHOLD_PX = 20.0     # centering tolerance that arms the descent
 LAND_DWELL_TICKS = 5         # consecutive in-tolerance ticks required to land
 LOST_PATIENCE_TICKS = 10     # detection dropouts tolerated while servoing
-DEFAULT_TIMEOUT_S = 120.0
-MAX_MISSION_TICKS = 1_000_000  # tick budget of one mission: timeout / dt may not exceed it
 
 _ALTITUDE_EPS = 1e-9
-
-
-class MissionKind(Enum):
-    TRACK_VISIBLE = "track"
-    FORWARD_SEARCH_HOVER = "forward"
-    SEARCH_RETURN_LAND = "return"
-    CARRIER_COORDINATION = "coordination"
-
-
-_RETURNING_KINDS = (MissionKind.SEARCH_RETURN_LAND, MissionKind.CARRIER_COORDINATION)
 
 
 class Phase(Enum):
@@ -89,31 +75,6 @@ TRANSITIONS = frozenset({
 
 class AbsorbingStateError(RuntimeError):
     """tick() called on a mission that is already done: succeeded or failed."""
-
-
-class ScenarioError(ValueError):
-    """A mission/scenario configuration is malformed."""
-
-
-@dataclass(frozen=True)
-class MissionSpec:
-    """What a mission is asked to do; world-independent."""
-
-    kind: MissionKind
-    search_color: Color = Color.PINK
-    home_color: Optional[Color] = Color.BLUE
-    trajectory: Optional[ImaginedTrajectory] = None
-    timeout: float = DEFAULT_TIMEOUT_S
-
-    def __post_init__(self) -> None:
-        if not self.timeout > 0 or not math.isfinite(self.timeout):
-            raise ScenarioError("timeout must be positive and finite")
-        if self.kind in _RETURNING_KINDS and self.home_color is None:
-            raise ScenarioError(f"{self.kind.value} missions need a home_color")
-        track = self.kind is MissionKind.TRACK_VISIBLE
-        if track != (self.trajectory is None):
-            raise ScenarioError("track missions take no search trajectory" if track
-                                else f"{self.kind.value} missions need a search trajectory")
 
 
 @dataclass
@@ -453,272 +414,3 @@ def audit_transitions(labels: list[str]) -> list[str]:
             violations.append(f"illegal transition {a.value} -> {b.value} at row {i}")
     return violations
 
-
-# --- scenarios and their config files ---------------------------------------
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A mission spec plus the world it runs in; seeds make worlds.
-
-    trials and base_seed are optional campaign defaults carried from a
-    config file; explicit CLI flags take precedence over them.  Raises
-    ScenarioError when timeout / dt exceeds MAX_MISSION_TICKS, so no run
-    can be practically endless.
-    """
-
-    spec: MissionSpec
-    cfg: SimConfig
-    markers: tuple[Marker, ...] = ()
-    drone_start: tuple[float, float] = (0.0, 0.0)
-    carrier_start: Optional[tuple[float, float]] = None
-    trials: Optional[int] = None
-    base_seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        ticks = self.spec.timeout / self.cfg.dt
-        if ticks > MAX_MISSION_TICKS:
-            raise ScenarioError(
-                f"timeout_s {self.spec.timeout} at dt {self.cfg.dt} allows {ticks:.4g} ticks "
-                f"per mission, over the budget of {MAX_MISSION_TICKS}")
-
-    def make_world(self, seed: int) -> WorldState:
-        x, y = self.drone_start
-        z = self.cfg.altitude if self.spec.kind is MissionKind.TRACK_VISIBLE \
-            else self.cfg.carrier_height
-        cx, cy = self.carrier_start if self.carrier_start is not None else self.drone_start
-        return make_world(seed, self.markers,
-                          drone=Pose(x, y, z, 0.0),
-                          carrier=Pose(cx, cy, 0.0, 0.0))
-
-
-def forward_search_trajectory(frame: FrameSpec, search_color: Color) -> ImaginedTrajectory:
-    """A single forward imagined segment that ends when the color appears."""
-    return ImaginedTrajectory((
-        ImaginedSegment(forward_target(frame), MarkerDetected(search_color)),
-    ))
-
-
-def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
-    """Built-in scenario for a CLI task name.
-
-    track:        pink marker in view 0.3 m ahead, 0.2 m left of the start.
-    forward:      pink marker 2.0 m ahead; forward search, hover on it.
-    return:       as forward, then retrace and land on the home pad.
-    coordination: as return, taking off from and landing on the carrier.
-    """
-    try:
-        kind = MissionKind(task)
-    except ValueError:
-        raise ScenarioError(f"unknown task {task!r} (expected "
-                            + "|".join(k.value for k in MissionKind) + ")") from None
-    cfg = SimConfig() if noise is None else SimConfig(noise=noise)
-    if kind is MissionKind.TRACK_VISIBLE:
-        return Scenario(MissionSpec(kind), cfg, markers=(Marker((0.3, 0.2), 0.06, Color.PINK),))
-    spec = MissionSpec(kind, trajectory=forward_search_trajectory(cfg.frame, Color.PINK))
-    return Scenario(spec, cfg, markers=(Marker((2.0, 0.0), 0.06, Color.PINK),))
-
-
-def _parse_color(key: str, name) -> Color:
-    """A config color: a JSON string naming a Color, in any case.  Any
-    other JSON value, or an unknown name, is rejected, naming its key."""
-    if not isinstance(name, str):
-        raise ScenarioError(f"{key} must be a color name string, got {name!r}")
-    try:
-        return Color[name.upper()]
-    except KeyError:
-        raise ScenarioError(f"{key}: unknown color {name!r}; known: "
-                            + ", ".join(c.name.lower() for c in Color)) from None
-
-
-def _object(where: str, node, known: tuple[str, ...]) -> dict:
-    """A config JSON object, rejected, naming the key, when it holds a key
-    outside ``known``: a misspelt key would fall back to its default."""
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
-    for key in node:
-        if key not in known:
-            raise ScenarioError(f"unknown {where} key {key!r}; known: {', '.join(known)}")
-    return node
-
-
-def _settings(where: str, node, default) -> dict:
-    """The settings of a config section, whose keys are the fields of
-    ``default``'s dataclass.  A setting whose default is a number must be a
-    JSON number that a float holds; one whose default is a float is read as
-    a float, so 1 and 1.0 build the same world.  The dataclass checks the
-    rest."""
-    _object(where, node, tuple(f.name for f in fields(default)))
-    settings = dict(node)
-    for key, value in node.items():
-        kind = type(getattr(default, key))
-        if kind in (int, float):
-            number = _number(key, value)
-            if kind is float:
-                settings[key] = number
-    return settings
-
-
-def _typed(where: str, node, types: dict[str, tuple[str, ...]],
-           default: Optional[str]) -> str:
-    """The "type" of a config object (``default`` when absent), one of
-    ``types``' keys; besides "type" the object may hold only the keys
-    that type lists."""
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
-    kind = node.get("type", default)
-    if not isinstance(kind, str) or kind not in types:
-        raise ScenarioError(f"unknown {where} type {kind!r}")
-    _object(f"{kind} {where}", node, ("type", *types[kind]))
-    return kind
-
-
-def _parse_marker(node) -> Marker:
-    m = _object("marker", node, ("x", "y", "radius", "color"))
-    return Marker((_number("x", m["x"]), _number("y", m["y"])),
-                  _number("radius", m["radius"]), _parse_color("color", m["color"]))
-
-
-def _parse_termination(node: dict):
-    kind = _typed("termination", node,
-                  {"marker": ("color",), "duration": ("seconds",), "distance": ("meters",)}, None)
-    if kind == "marker":
-        return MarkerDetected(_parse_color("color", node["color"]))
-    if kind == "duration":
-        return Duration(_number("seconds", node["seconds"]))
-    return Distance(_number("meters", node["meters"]))
-
-
-def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> ImaginedTrajectory:
-    kind = _typed("trajectory", node, {"forward": (), "square": ("side_duration_s", "offset_px"),
-                                       "segments": ("segments",)}, "forward")
-    if kind == "forward":
-        return forward_search_trajectory(frame, search_color)
-    if kind == "square":
-        return square_trajectory(frame, _number("side_duration_s", node["side_duration_s"]),
-                                 _number("offset_px", node.get("offset_px", DEFAULT_OFFSET_PX)))
-    segs = []
-    for s in _array("segments", node["segments"]):
-        _object("segment", s, ("target", "until"))
-        segs.append(ImaginedSegment(PixelPoint(*_finite_pair("target", s["target"])),
-                                    _parse_termination(s["until"])))
-    return ImaginedTrajectory(tuple(segs))
-
-
-def _array(key: str, value) -> list:
-    """A config JSON array; any other JSON value is rejected, naming its key."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{key} must be a JSON array, got {value!r}")
-    return value
-
-
-def _finite_pair(key: str, value) -> tuple[float, float]:
-    """A config [x, y] point as a tuple of floats, rejected here, naming
-    its key, unless it is a JSON array of two finite numbers (it fails
-    mid-run otherwise)."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
-def _number(key: str, value) -> float:
-    """A config number as a float.  Any other JSON value (a bool, string,
-    null, list or object) is rejected, naming its key, not coerced."""
-    if type(value) not in (int, float):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _config_int(data: dict, key: str) -> Optional[int]:
-    """An optional config integer, None when absent.  Any other JSON value
-    (a float, bool, string or null) is rejected, naming its key, rather than
-    truncated or coerced."""
-    if key not in data:
-        return None
-    value = data[key]
-    if type(value) is not int:
-        raise ScenarioError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario from a JSON config file; see build_scenario for the
-    schema.  Raises ScenarioError on any malformed content."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("config root must be a JSON object")
-    return build_scenario(data)
-
-
-def build_scenario(data: dict) -> Scenario:
-    """Build a Scenario from a config tree.
-
-    The schema is README's "Scenario config file": every key is optional
-    except "task", and a key it does not name, a "trajectory" in a track
-    config, or a section or list of another JSON type is rejected.
-    """
-    _object("config", data, ("task", "search_color", "home_color", "timeout_s", "trials",
-                             "base_seed", "markers", "drone_start", "carrier_start",
-                             "trajectory", "sim"))
-    try:
-        task = data["task"]
-    except KeyError:
-        raise ScenarioError('config is missing the "task" key') from None
-    base = default_scenario(task)
-
-    try:
-        sim_node = _settings("sim", data.get("sim", {}), base.cfg)
-        for key in ("frame", "gains", "noise"):
-            default = getattr(base.cfg, key)
-            sim_node[key] = replace(default, **_settings(key, sim_node.get(key, {}), default))
-        if "carrier_waypoints" in sim_node:
-            sim_node["carrier_waypoints"] = tuple(
-                _finite_pair("carrier_waypoints", wp)
-                for wp in _array("carrier_waypoints", sim_node["carrier_waypoints"]))
-        cfg = replace(base.cfg, **sim_node)
-
-        search_color = _parse_color("search_color",
-                                    data.get("search_color", base.spec.search_color.name))
-        home_color = _parse_color("home_color", data["home_color"]) if "home_color" in data \
-            else base.spec.home_color
-        if base.spec.kind is MissionKind.TRACK_VISIBLE:
-            if "trajectory" in data:
-                raise ScenarioError('a track config takes no "trajectory" key: '
-                                    "a track mission flies no search")
-            trajectory = None
-        else:
-            trajectory = _parse_trajectory(data.get("trajectory", {"type": "forward"}),
-                                           cfg.frame, search_color)
-        spec = MissionSpec(kind=base.spec.kind,
-                           search_color=search_color,
-                           home_color=home_color,
-                           trajectory=trajectory,
-                           timeout=_number("timeout_s", data.get("timeout_s", DEFAULT_TIMEOUT_S)))
-
-        markers = base.markers
-        if "markers" in data:
-            markers = tuple(_parse_marker(m) for m in _array("markers", data["markers"]))
-        drone_start = _finite_pair("drone_start", data["drone_start"]) \
-            if "drone_start" in data else base.drone_start
-        carrier_start = _finite_pair("carrier_start", data["carrier_start"]) \
-            if "carrier_start" in data else None
-        trials = _config_int(data, "trials")
-        base_seed = _config_int(data, "base_seed")
-        if trials is not None and trials < 1:
-            raise ScenarioError("trials must be >= 1")
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad config value: {exc}") from exc
-
-    return Scenario(spec=spec, cfg=cfg, markers=markers,
-                    drone_start=drone_start, carrier_start=carrier_start,
-                    trials=trials, base_seed=base_seed)

@@ -6,8 +6,10 @@ import math
 
 import pytest
 
-from visnav import default_scenario, run
+from visnav import FrameSpec, default_scenario, load_campaign, run, run_campaign
 from visnav.cli import main
+from visnav.harness import MAX_DUMP_FRAME_BYTES
+from visnav.perception import ppm_size
 
 
 def write_config(tmp_path, **overrides):
@@ -547,3 +549,52 @@ def test_integers_in_float_settings_write_the_same_bytes(tmp_path, capsys, task)
     for rel in files[0]:
         a, b = (out / rel for out in outs)
         assert a.is_dir() or a.read_bytes() == b.read_bytes(), rel
+
+
+
+@pytest.mark.parametrize("frame", [{"width": 1000000000000}, {"height": 1000000000000},
+                                   {"width": 3000, "height": 4000}])
+def test_dump_of_frames_over_the_size_cap_exits_2_before_any_trial(tmp_path, capsys, frame):
+    # a frame is drawn only to be dumped, so the cap stops the run before any is drawn
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"task": "track", "sim": {"frame": frame}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out),
+                 "--dump-frames"]) == 2
+    err = capsys.readouterr().err
+    size = ppm_size(FrameSpec(**frame))
+    assert size > MAX_DUMP_FRAME_BYTES
+    assert f"error: frame.width x frame.height makes a {size}-byte frame" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [[1.7e308, 1.7e308], [-1.7e308, 1e308]])
+def test_run_rejects_a_target_whose_pixel_error_overflows(tmp_path, capsys, target):
+    # each coordinate is finite but the error norm is not, so err_px would be inf
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"task": "forward", "trajectory": {
+        "type": "segments",
+        "segments": [{"target": target, "until": {"type": "duration", "seconds": 1.0}}]}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: target {target!r}") and "overflows" in err
+    assert not out.exists()
+
+
+def test_library_and_cli_run_a_config_file_alike(tmp_path, capsys):
+    # the file's trials and base_seed reach the library's Campaign as they reach the CLI
+    cfg = write_config(tmp_path, trials=3, base_seed=40,
+                       sim={"frame": {"width": 64, "height": 36, "focal_length": 32.0}})
+    run_campaign(load_campaign(cfg), out_dir=tmp_path / "a")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert "success 3/3" in capsys.readouterr().out
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert names == ["results.csv", "summary.txt",
+                     "trajectory_0.csv", "trajectory_1.csv", "trajectory_2.csv"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    with open(tmp_path / "a" / "results.csv", newline="") as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == ["40", "41", "42"]

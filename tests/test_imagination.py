@@ -13,7 +13,7 @@ from visnav import (Color, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
                     Phase, VelocityCommand, fly_trajectory, forward_target,
                     initial_state, make_world, offset_target, reflect_about_center,
                     reverse, run, square_trajectory, step, tick)
-from visnav.mission import MAX_MISSION_TICKS, build_scenario
+from visnav.scenario import MAX_MISSION_TICKS, build_scenario
 
 DEFAULT = FrameSpec()
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())

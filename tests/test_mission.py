@@ -3,14 +3,20 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from visnav import (ZERO_COMMAND, AbsorbingStateError, Color, ControllerGains, FrameSpec,
-                    MissionKind, MissionSpec, NoiseModel, Phase, Scenario, ScenarioError,
-                    SimConfig, audit_transitions, default_scenario, forward_search_trajectory,
-                    initial_state, load_scenario, run, square_trajectory, tick)
+from visnav import (ZERO_COMMAND, AbsorbingStateError, Campaign, Color, ControllerGains,
+                    FrameSpec, MissionKind, MissionSpec, NoiseModel, Phase, Scenario,
+                    ScenarioError, SimConfig, audit_transitions, default_scenario,
+                    forward_search_trajectory, initial_state, load_campaign, run,
+                    square_trajectory, tick, write_trajectory_csv)
+from visnav.harness import load_trajectory
+from visnav.scenario import MAX_MISSION_TICKS, build_scenario
 
 ZERO_NOISE = NoiseModel.zero()
 
@@ -211,7 +217,6 @@ def test_hover_fixed_point_zero_noise():
 def test_hover_ends_on_the_first_tick_at_or_past_the_dwell(task, dt, hover_rows):
     # the tick that starts the hover, then one per dt until 1 s is hovered
     # (to 1e-9), and the last tick, which holds: 1 + ceil(1 / dt) + 1 rows
-    from visnav.mission import build_scenario
     sc = build_scenario({"task": task, "sim": {
         "dt": dt, "noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
     result = run(sc.spec, sc.make_world(0), sc.cfg)
@@ -255,7 +260,6 @@ def test_track_spec_takes_no_trajectory():
 def test_hover_with_an_empty_motion_log_fails_with_reversal_unavailable():
     # the marker is found while the search holds still (its target is the
     # frame center), so nothing moving was logged and there is no path back
-    from visnav.mission import build_scenario
     sc = build_scenario({
         "task": "return",
         "markers": [{"x": 0.1, "y": 0.0, "radius": 0.06, "color": "pink"}],
@@ -291,7 +295,6 @@ def test_segment_ending_on_another_color_expires_when_that_color_shows():
     # the search watches pink; its first segment ends on green, which the
     # segment rule must detect on its own
     from visnav import detect
-    from visnav.mission import build_scenario
     sc = build_scenario({
         "task": "forward",
         "markers": [{"x": 1.0, "y": 0.1, "radius": 0.06, "color": "green"},
@@ -315,7 +318,6 @@ def test_segment_ending_on_another_color_expires_when_that_color_shows():
 
 def duration_search(seconds, timeout_s=120.0):
     """A marker-less forward search of one Duration segment at zero noise."""
-    from visnav.mission import build_scenario
     return build_scenario({
         "task": "forward", "markers": [], "timeout_s": timeout_s,
         "trajectory": {"type": "segments", "segments": [
@@ -380,7 +382,6 @@ def test_takeoff_reaches_exact_altitude():
 @pytest.mark.parametrize("task, sim", [("return", {}),
                                        ("coordination", {"carrier_height": 0.3})])
 def test_altitude_moves_only_in_climb_and_descent_phases(task, sim):
-    from visnav.mission import build_scenario
     sc = build_scenario({"task": task, "sim": {
         **sim, "noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0}}})
     cfg = sc.cfg
@@ -420,7 +421,6 @@ def test_mission_spec_validation():
 
 
 def test_tick_budget_is_checked_where_spec_and_config_meet():
-    from visnav.mission import MAX_MISSION_TICKS, build_scenario
     # timeout_s / dt exactly at the budget passes, one tick over it fails
     at_budget = MAX_MISSION_TICKS * 0.5
     assert build_scenario({"task": "return", "timeout_s": at_budget,
@@ -431,7 +431,6 @@ def test_tick_budget_is_checked_where_spec_and_config_meet():
         with pytest.raises(ScenarioError, match=r"timeout_s .* at dt .* ticks"):
             build_scenario(config)
     # a scenario assembled in code meets the same check before any Campaign
-    from visnav import Campaign
     sc = zero_noise_scenario("forward")
     long_spec = dataclasses.replace(sc.spec, timeout=MAX_MISSION_TICKS * sc.cfg.dt * 2)
     with pytest.raises(ScenarioError, match="budget"):
@@ -445,7 +444,7 @@ def test_default_scenario_rejects_unknown_task():
         default_scenario("wander")
 
 
-def test_load_scenario_from_config_file(tmp_path):
+def test_load_campaign_from_config_file(tmp_path):
     config = {
         "task": "forward",
         "search_color": "pink",
@@ -458,7 +457,9 @@ def test_load_scenario_from_config_file(tmp_path):
     }
     path = tmp_path / "mission.json"
     path.write_text(json.dumps(config))
-    sc = load_scenario(path)
+    campaign = load_campaign(path)
+    assert (campaign.trials, campaign.base_seed) == (20, 0)   # Campaign's defaults
+    sc = campaign.scenario
     assert sc.spec.kind is MissionKind.FORWARD_SEARCH_HOVER
     assert sc.spec.timeout == 90.0
     assert sc.markers[0].position == (1.0, 0.0)
@@ -466,7 +467,7 @@ def test_load_scenario_from_config_file(tmp_path):
     assert result.success
 
 
-def test_load_scenario_square_trajectory(tmp_path):
+def test_load_campaign_square_trajectory(tmp_path):
     config = {
         "task": "forward",
         "trajectory": {"type": "square", "side_duration_s": 3.0},
@@ -474,11 +475,11 @@ def test_load_scenario_square_trajectory(tmp_path):
     }
     path = tmp_path / "mission.json"
     path.write_text(json.dumps(config))
-    sc = load_scenario(path)
+    sc = load_campaign(path).scenario
     assert len(sc.spec.trajectory.segments) == 4
 
 
-def test_load_scenario_explicit_segments(tmp_path):
+def test_load_campaign_explicit_segments(tmp_path):
     config = {
         "task": "return",
         "trajectory": {"type": "segments", "segments": [
@@ -489,7 +490,7 @@ def test_load_scenario_explicit_segments(tmp_path):
     }
     path = tmp_path / "mission.json"
     path.write_text(json.dumps(config))
-    sc = load_scenario(path)
+    sc = load_campaign(path).scenario
     assert len(sc.spec.trajectory.segments) == 3
 
 
@@ -504,13 +505,6 @@ def test_load_scenario_explicit_segments(tmp_path):
         {"target": [320, 80], "until": "pink"}]}}),
     json.dumps({"task": "track", "markers": [{}]}),
     json.dumps({"task": "forward", "sim": {"dt": -1.0}}),
-    json.dumps({"task": "forward", "trials": 2.7}),
-    json.dumps({"task": "forward", "trials": True}),
-    json.dumps({"task": "forward", "trials": "3"}),
-    json.dumps({"task": "forward", "trials": None}),
-    json.dumps({"task": "forward", "base_seed": 4.0}),
-    json.dumps({"task": "forward", "base_seed": False}),
-    json.dumps({"task": "forward", "base_seed": "7"}),
     # numbers must be JSON numbers, not bools or strings
     json.dumps({"task": "forward", "timeout_s": "30"}),
     json.dumps({"task": "forward", "timeout_s": True}),
@@ -579,23 +573,55 @@ def test_load_scenario_explicit_segments(tmp_path):
     json.dumps({"task": "coordination", "sim": {"carrier_waypoints": [5]}}),
     json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": 5}}),
 ])
-def test_load_scenario_rejects_malformed_configs(tmp_path, bad):
+def test_load_campaign_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"
     path.write_text(bad)
     with pytest.raises(ScenarioError):
-        load_scenario(path)
+        load_campaign(path)
 
 
-def test_load_scenario_missing_file():
+def test_load_campaign_missing_file():
     with pytest.raises(ScenarioError):
-        load_scenario("/nonexistent/mission.json")
+        load_campaign("/nonexistent/mission.json")
+
+
+def test_load_campaign_reads_trials_and_base_seed(tmp_path):
+    path = tmp_path / "mission.json"
+    path.write_text(json.dumps({"task": "track", "trials": 3, "base_seed": 40}))
+    assert load_campaign(path) == Campaign(default_scenario("track"), trials=3, base_seed=40)
+    path.write_text(json.dumps({"task": "track", "base_seed": 7}))
+    assert load_campaign(path) == Campaign(default_scenario("track"), base_seed=7)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("trials", 2.7, "trials must be an integer, got 2.7"),
+    ("trials", True, "trials must be an integer, got True"),
+    ("trials", "3", "trials must be an integer, got '3'"),
+    ("trials", None, "trials must be an integer, got None"),
+    ("trials", 0, "trials must be >= 1, got 0"),
+    ("base_seed", 4.0, "base_seed must be an integer, got 4.0"),
+    ("base_seed", False, "base_seed must be an integer, got False"),
+    ("base_seed", "7", "base_seed must be an integer, got '7'"),
+    ("base_seed", -1, "base_seed must be >= 0, got -1"),
+])
+def test_campaign_settings_are_checked_by_campaign_alone(tmp_path, key, value, message):
+    # the config reader builds the scenario part and leaves the check to Campaign,
+    # which gives a file and a caller in code the same error
+    config = {"task": "forward", key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_campaign(path)
+    sc = build_scenario(config)
+    assert sc == default_scenario("forward")
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        Campaign(sc, **{key: value})
 
 
 def test_exhausted_return_replay_fails():
     # the carrier drives off, so the replayed return leg ends over an empty
     # pad site: the mission fails there instead of waiting out the timeout
     from visnav import step
-    from visnav.mission import build_scenario
     sc = build_scenario({"task": "coordination", "timeout_s": 100.0,
                          "sim": {"noise": {"drift_std": 0.0, "takeoff_jitter_std": 0.0},
                                  "carrier_waypoints": [[-4.0, 3.0]]}})
@@ -613,7 +639,6 @@ def test_exhausted_return_replay_fails():
 
 
 def test_the_readme_config_example_names_every_key():
-    from visnav.mission import build_scenario
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     with pytest.raises(ScenarioError, match="known: ") as err:
@@ -624,3 +649,78 @@ def test_the_readme_config_example_names_every_key():
                          (sim["gains"], ControllerGains), (sim["noise"], NoiseModel)):
         assert set(section) == {f.name for f in dataclasses.fields(cls)}
     assert build_scenario(example).cfg.carrier_waypoints == ((1.0, 0.0),)
+
+
+#: Every outcome a mission can end with (README, "Mission state machine").
+OUTCOMES = {"success", "failed:timeout", "failed:search_exhausted",
+            "failed:reversal_unavailable", "failed:return_exhausted"}
+
+
+def _until():
+    return st.one_of(
+        st.builds(lambda s: {"type": "duration", "seconds": s}, st.floats(0.5, 8.0)),
+        st.builds(lambda m: {"type": "distance", "meters": m}, st.floats(0.05, 1.0)),
+        st.just({"type": "marker", "color": "pink"}))
+
+
+_SEGMENTS = st.lists(
+    st.builds(lambda dx, dy, until: {"target": [320 + dx, 180 + dy], "until": until},
+              st.floats(-150, 150), st.floats(-150, 150), _until()),
+    min_size=1, max_size=4)
+
+_SEARCHES = st.one_of(
+    st.just({"type": "forward"}),
+    st.builds(lambda side, offset: {"type": "square", "side_duration_s": side,
+                                    "offset_px": offset},
+              st.floats(1.0, 8.0), st.floats(60.0, 150.0)),
+    _SEGMENTS.map(lambda segments: {"type": "segments", "segments": segments}))
+
+
+@st.composite
+def mission_configs(draw):
+    """Config trees over all four tasks with stationary carriers: a pink
+    target (in view for track, ahead of the start otherwise), up to two
+    distractors in colors no mission watches, drift, jitter, a raised pad
+    and forward, square or segment searches."""
+    task = draw(st.sampled_from([k.value for k in MissionKind]))
+    x, y = (st.floats(-0.4, 0.4), st.floats(-0.8, 0.8)) if task == "track" \
+        else (st.floats(0.3, 1.5), st.floats(-0.5, 0.5))
+    markers = [{"x": draw(x), "y": draw(y), "radius": draw(st.floats(0.04, 0.12)),
+                "color": "pink"}]
+    for _ in range(draw(st.integers(0, 2))):
+        markers.append({"x": draw(st.floats(-1.5, 2.0)), "y": draw(st.floats(-1.0, 1.0)),
+                        "radius": draw(st.floats(0.03, 0.1)),
+                        "color": draw(st.sampled_from(["red", "green", "yellow", "orange"]))})
+    config = {"task": task, "timeout_s": draw(st.sampled_from([30.0, 60.0, 90.0])),
+              "markers": markers,
+              "sim": {"carrier_height": draw(st.floats(0.0, 0.6)),
+                      "noise": {"drift_std": draw(st.floats(0.0, 0.1)),
+                                "takeoff_jitter_std": draw(st.floats(0.0, 0.15))}}}
+    if task != "track":
+        config["trajectory"] = draw(_SEARCHES)
+    return config
+
+
+@settings(max_examples=40, deadline=None)
+@given(mission_configs(), st.integers(0, 2**32 - 1))
+def test_mission_invariants_over_generated_scenarios(tmp_path_factory, config, seed):
+    sc = build_scenario(config)
+    world = sc.make_world(seed)
+    result = run(sc.spec, world, sc.cfg)
+    rows = result.rows
+
+    assert len(rows) == result.ticks <= sc.spec.timeout / sc.cfg.dt + 1
+    assert audit_transitions([r.fsm_state for r in rows]) == []
+    assert result.outcome in OUTCOMES
+    assert result.outcome == "success" or rows[-1].fsm_state == result.outcome
+    if result.success and sc.spec.kind.value in ("return", "coordination"):
+        assert rows[-1].fsm_state == "landed"
+        off_pad = math.hypot(world.drone.x - world.carrier.x, world.drone.y - world.carrier.y)
+        assert off_pad <= sc.cfg.carrier_marker_radius
+    elif result.success:
+        assert rows[-1].detected_color == "pink"
+
+    assert run(sc.spec, sc.make_world(seed), sc.cfg).rows == rows
+    path = tmp_path_factory.getbasetemp() / "mission_invariants.csv"
+    write_trajectory_csv(rows, path)
+    assert load_trajectory(path) == list(rows)
