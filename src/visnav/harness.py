@@ -107,8 +107,9 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     ``dump_frames`` stride n >= 1 (True means 1) additionally saves every
     n-th captured frame of a trial, from its first, under trial_{trial}/ as
     PPM files named by step, creating that directory at its first frame;
-    0 (or False) dumps none, and a negative stride raises ValueError, as
-    does a dump of frames over MAX_DUMP_FRAME_BYTES, before any trial runs.
+    0 (or False) dumps none.  A negative stride raises ValueError, as do a
+    stride >= 1 without ``out_dir`` and a dump of frames over
+    MAX_DUMP_FRAME_BYTES, before any trial runs.
     When a trial or a write raises, every directory this call created is
     removed, with what was written into it, before the error propagates.
 
@@ -120,8 +121,10 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     stride = operator.index(dump_frames)
     if stride < 0:
         raise ValueError(f"dump_frames stride must be >= 0, got {stride}")
+    if stride and out_dir is None:
+        raise ValueError("dump_frames needs an out_dir to write the frames into")
     out_path = Path(out_dir) if out_dir is not None else None
-    dumps = bool(stride) and out_path is not None
+    dumps = bool(stride)
     size = ppm_size(campaign.scenario.cfg.frame)
     if dumps and size > MAX_DUMP_FRAME_BYTES:
         raise ValueError(f"frame.width x frame.height makes a {size}-byte frame, over the "

@@ -239,7 +239,7 @@ def _act_blind(state: MissionState, spec: MissionSpec, world: WorldState,
                cfg: SimConfig) -> Optional[_Action]:
     """The steps that act without looking, or None when the tick must look."""
     phase = state.phase
-    if state.ticks * cfg.dt >= spec.timeout:
+    if state.ticks * cfg.dt >= spec.timeout - 1e-9:
         return _fail(state, "timeout")
     if phase is Phase.TAKING_OFF:
         if state.ticks == 0 or world.drone.z < cfg.altitude - _ALTITUDE_EPS:

@@ -7,16 +7,17 @@ modeled as exact classification and detection reduces to counting labeled
 pixels and taking their centroid.  Absence of a blob is a value (None),
 not an error.
 
-Frames are lazy.  render() projects, checks and culls every marker at
-once, but keeps each survivor as a plain (code, x, y, radius) spot.
-Frame.discs clips the spots' boxes on first read, and Frame.labels draws
-the whole grid on first read.  detect() of a color with no spot returns
-None without clipping a box.  Otherwise it computes the count and
-centroid of isolated discs (no other drawn disc's box overlaps theirs) in
-closed form, from per-row span moments, and rasterises only overlaps: the
-window around the watched color's discs, where the nearest-disc
-tie-break decides each pixel.  One pass of the raster's own test settles
-a disc's sqrt-estimated row ends; only when some end misses do they step.
+A frame is the immutable (spec, spots) value render() returns: render()
+projects, checks and culls every marker at once and keeps each survivor
+as a plain (code, x, y, radius) spot.  Frame.discs clips the spots' boxes
+and Frame.labels draws the whole grid, on every read, storing nothing.
+detect() of a color with no spot returns None without clipping a box.
+Otherwise it computes the count and centroid of isolated discs (no other
+drawn disc's box overlaps theirs) in closed form, from per-row span
+moments, and rasterises only overlaps: the window around the watched
+color's discs, where the nearest-disc tie-break decides each pixel.  One
+pass of the raster's own test settles a disc's sqrt-estimated row ends;
+only when some end misses do they step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -170,19 +170,16 @@ def _moments(disc: _Disc) -> tuple[int, int, int]:
     return int(n.sum()), int(rows @ n), int(sums[1] - sums[0]) // 2
 
 
-class Frame:
-    """A bottom-camera label grid of shape (height, width), dtype uint8.
+class Frame(NamedTuple):
+    """What render() drew: the (code, x, y, radius) spots it kept, in
+    marker order.  ``discs`` clips their boxes, dropping a spot whose
+    clipped box is empty, and ``labels`` rasterises the discs into a
+    (height, width) uint8 grid; both compute on every read."""
 
-    A frame keeps the (code, x, y, radius) spots render() projected, in
-    marker order.  ``discs`` clips their boxes on first read and drops a
-    spot whose clipped box is empty; ``labels`` rasterises the discs on
-    first read.
-    """
+    spec: FrameSpec
+    spots: tuple[tuple[int, float, float, float], ...]
 
-    def __init__(self, spec: FrameSpec, spots: tuple[tuple[int, float, float, float], ...]) -> None:
-        self.spec, self.spots = spec, spots
-
-    @cached_property
+    @property
     def discs(self) -> tuple[_Disc, ...]:
         w, h = self.spec.width, self.spec.height
         ceil, floor = math.ceil, math.floor
@@ -196,7 +193,7 @@ class Frame:
                 discs.append(_Disc(code, x, y, r, row0, row1, col0, col1))
         return tuple(discs)
 
-    @cached_property
+    @property
     def labels(self) -> np.ndarray:
         return _raster(self.discs, (0, self.spec.height, 0, self.spec.width))
 
@@ -216,8 +213,8 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     background.  Discs project as discs (nadir camera, level markers) with
     pixel radius = focal_length * radius / (drone.z - marker.height).
     One pass projects each marker (project()'s formula, inlined), checks
-    it, and culls it or keeps it as a spot; the frame clips the spots'
-    boxes on first read of its discs.
+    it, and culls it or keeps it as a spot; the returned Frame is those
+    spots, and clips their boxes only when its discs are read.
 
     Raises GroundedError when the camera is not above every marker, else
     ValueError for the first marker whose projected center is not finite

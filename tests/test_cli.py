@@ -170,10 +170,13 @@ def test_spread_subcommand(tmp_path, capsys):
     assert float(text.split(":")[1]) <= 1e-6
 
 
-def test_spread_on_wrong_csv_exits_2(tmp_path):
+def test_spread_on_wrong_csv_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--task", "track", "--trials", "1", "--out", str(out)])
     assert main(["spread", "--in", str(out / "results.csv")]) == 2
+    capsys.readouterr()
+    assert main(["spread", "--in", str(out / "trajectory_0.csv")]) == 2   # a track log
+    assert "no return leg after the hover" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, name, what", [("stats", "results.csv", "results"),

@@ -257,6 +257,22 @@ def test_path_spread_requires_out_and_back_log():
         path_spread(rows)
     with pytest.raises(MalformedLogError):
         path_spread([])
+    rows = [TrajectoryRow(0, 0.0, 0.5, 0.5, 1.0, 0.0, 0.0, "hovering_on_target", "pink", 1.0),
+            TrajectoryRow(1, 0.1, 0.5, 0.5, 1.0, 0.0, 0.0, "reversing:0", "", None)]
+    with pytest.raises(MalformedLogError, match="degenerate"):
+        path_spread(rows)   # the apex is the start
+
+
+def test_blank_csv_lines_between_rows_are_skipped(tmp_path):
+    sc = default_scenario("return", noise=NoiseModel.zero())
+    run_campaign(Campaign(sc, trials=2, base_seed=0), out_dir=tmp_path)
+    for name, read in (("results.csv", read_results_csv), ("trajectory_0.csv", load_trajectory)):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        spaced = tmp_path / f"spaced_{name}"
+        spaced.write_text("\n\n".join(lines) + "\n")
+        assert read(spaced) == read(path)
+        assert len(read(path)) == len(lines) - 1
 
 
 def test_load_trajectory_rejects_missing_columns(tmp_path):
@@ -281,6 +297,9 @@ def test_campaign_validation():
         Campaign(sc, base_seed=-1)
     with pytest.raises(ValueError, match="dump_frames stride"):
         run_campaign(Campaign(sc, trials=1), dump_frames=-1)
+    for stride in (1, True):
+        with pytest.raises(ValueError, match="dump_frames needs an out_dir"):
+            run_campaign(Campaign(sc, trials=1), dump_frames=stride)
 
 
 def test_failed_trial_removes_every_directory_the_campaign_created(tmp_path, monkeypatch):

@@ -251,6 +251,46 @@ def test_lost_detection_reverts_to_search_segment():
     assert Phase.SERVOING in transitions[:-1]
 
 
+def test_a_miss_in_servoing_home_restarts_the_landing_count():
+    from visnav import Pose, step
+    from visnav.mission import LAND_DWELL_TICKS
+    sc = zero_noise_scenario("return")
+    world = sc.make_world(0)
+    state = initial_state(sc.spec)
+
+    def fly():
+        cmd, *_ = tick(state, sc.spec, world, sc.cfg)
+        step(world, cmd, sc.cfg, vz=state.climb_rate(sc.cfg))
+
+    for _ in range(5000):
+        if state.phase is Phase.SERVOING_HOME and state.count >= 2:
+            break
+        fly()
+    assert state.phase is Phase.SERVOING_HOME and state.count == 2
+    home = world.carrier
+    world.carrier = Pose(home.x + 10.0, home.y, home.z, home.yaw)   # the pad leaves the view
+    fly()
+    assert (state.phase, state.count) == (Phase.SERVOING_HOME, 0)
+    world.carrier = home
+    for centred in range(1, LAND_DWELL_TICKS):
+        fly()
+        assert (state.phase, state.count) == (Phase.SERVOING_HOME, centred)
+    fly()
+    assert state.phase is Phase.LANDING
+
+
+@pytest.mark.parametrize("dt, timeout", [(0.3, 1.8), (0.3, 0.9), (0.1, 0.3), (0.1, 0.7),
+                                         (0.1, 1.1)])
+def test_a_timeout_ends_the_mission_on_the_first_tick_at_or_past_it(dt, timeout):
+    # ticks * dt rounds just below a timeout of 6 ticks at dt 0.3 (1.7999999999999998)
+    sc = build_scenario({"task": "forward", "markers": [], "timeout_s": timeout,
+                         "sim": {"dt": dt}})
+    result = run(sc.spec, sc.make_world(0), sc.cfg)
+    assert len(result.rows) == round(timeout / dt) + 1
+    assert result.outcome == "failed:timeout"
+    assert result.rows[-1].time_s == pytest.approx(timeout)
+
+
 def test_track_spec_takes_no_trajectory():
     frame = SimConfig().frame
     with pytest.raises(ScenarioError, match="track missions take no search trajectory"):

@@ -249,16 +249,13 @@ def _build(scene, spec):
 @settings(max_examples=150, deadline=None)
 @given(SCENES)
 def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
-    # each detect runs both on a fresh frame, whose discs it clips if it
-    # reads them at all, and on a frame whose discs were read beforehand
+    # one frame serves every detect: reading a frame changes nothing in it
     drone, markers = _build(scene, DEFAULT)
-    clipped = render(drone, markers, DEFAULT)
-    clipped.discs
+    frame = render(drone, markers, DEFAULT)
+    labels = frame.labels
     for color in Color:
         for size in (1, 10):
-            want = detect_on_labels(clipped.labels, color, size)
-            assert detect(render(drone, markers, DEFAULT), color, size) == want
-            assert detect(clipped, color, size) == want
+            assert detect(frame, color, size) == detect_on_labels(labels, color, size)
 
 
 def test_render_and_a_blind_detect_clip_no_disc():
@@ -266,25 +263,43 @@ def test_render_and_a_blind_detect_clip_no_disc():
     # empty (a third of a pixel wide, centered between two columns)
     markers = [Marker((0.0, 0.0), 0.1, Color.PINK), Marker((0.1, 0.3), 0.05, Color.BLUE),
                Marker((0.0, -0.5 / 320), 0.001, Color.YELLOW)]
+    clip, reads = Frame.discs.fget, []
+    counted = property(lambda frame: reads.append(frame) or clip(frame))
+    with mock.patch.object(Frame, "discs", counted):
+        frame = render(HOVER, markers, DEFAULT)
+        assert [spot[0] for spot in frame.spots] == [c.value for c in (Color.PINK, Color.BLUE,
+                                                                         Color.YELLOW)]
+        assert detect(frame, Color.GREEN) is None
+        assert len(reads) == 0
+        assert detect(frame, Color.YELLOW, 1) is None
+        assert detect(frame, Color.PINK) is not None
+        assert len(reads) == 2
+    assert [d.code for d in frame.discs] == [Color.PINK.value, Color.BLUE.value]
+
+
+def test_frame_is_an_immutable_value():
+    markers = [Marker((0.0, -0.05), 0.1, Color.PINK), Marker((0.0, 0.05), 0.1, Color.BLUE)]
     frame = render(HOVER, markers, DEFAULT)
-    assert "discs" not in vars(frame)
-    assert [spot[0] for spot in frame.spots] == [c.value for c in (Color.PINK, Color.BLUE,
-                                                                     Color.YELLOW)]
-    assert detect(frame, Color.GREEN) is None
-    assert "discs" not in vars(frame)
-    assert detect(frame, Color.YELLOW, 1) is None
-    assert [d.code for d in vars(frame)["discs"]] == [Color.PINK.value, Color.BLUE.value]
-    assert detect(frame, Color.PINK) is not None
+    assert Frame._fields == ("spec", "spots")
+    for name in ("spec", "spots", "discs", "labels", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(frame, name, None)
+    discs, labels = frame.discs, frame.labels
+    assert not hasattr(frame, "__dict__")    # nowhere to store a read
+    assert frame.discs == discs and frame.labels is not labels
+    assert np.array_equal(frame.labels, labels)
+    assert frame == render(HOVER, markers, DEFAULT) == Frame(DEFAULT, frame.spots)
 
 
 def test_write_ppm_after_a_blind_detect_matches_an_eagerly_clipped_frame(tmp_path):
-    # overlapping discs, one across the frame edge
+    # overlapping discs, one across the frame edge; neither a blind detect
+    # nor a read of the discs changes the bytes a frame writes
     markers = [Marker((0.0, -0.05), 0.1, Color.PINK), Marker((0.0, 0.05), 0.1, Color.BLUE),
                Marker((0.55, 0.2), 0.08, Color.RED)]
     blind = render(HOVER, markers, DEFAULT)
     assert detect(blind, Color.GREEN) is None
     eager = render(HOVER, markers, DEFAULT)
-    eager.discs
+    assert eager.discs
     write_ppm(blind, tmp_path / "blind.ppm")
     write_ppm(eager, tmp_path / "eager.ppm")
     assert (tmp_path / "blind.ppm").read_bytes() == (tmp_path / "eager.ppm").read_bytes()
