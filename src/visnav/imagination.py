@@ -68,6 +68,13 @@ class ImaginedSegment:
     target: PixelPoint
     terminate_on: Termination
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.target, PixelPoint):
+            raise TypeError(f"target must be a PixelPoint, got {self.target!r}")
+        if not isinstance(self.terminate_on, (MarkerDetected, Duration, Distance)):
+            raise TypeError("terminate_on must be MarkerDetected, Duration or Distance, "
+                            f"got {self.terminate_on!r}")
+
 
 @dataclass(frozen=True)
 class ImaginedTrajectory:

@@ -14,8 +14,8 @@ The four kinds:
                         appears, then servo and hover.
   SEARCH_RETURN_LAND    as above, then retrace the outbound motion log,
                         servo onto the home color and land on it.
-  CARRIER_COORDINATION  same chain, with the home pad provided by the
-                        carrier robot the vehicle took off from.
+  CARRIER_COORDINATION  as SEARCH_RETURN_LAND, on the same code and with
+                        equal rows (ROADMAP items 4 and 6).
 
 While searching and servoing outbound, each stretch of ticks with the
 same nonzero command and target becomes one motion-log entry; the return
@@ -33,8 +33,8 @@ from typing import Callable, Optional
 from .control import (ZERO_COMMAND, ControllerGains, VelocityCommand,
                       compute_command, pixel_error)
 from .geometry import FrameSpec, PixelPoint, Pose
-from .imagination import (Distance, Duration, EmptyLogError, ImaginedSegment,
-                          ImaginedTrajectory, LogEntry, MarkerDetected, MotionLog, reverse)
+from .imagination import (Duration, EmptyLogError, ImaginedSegment, ImaginedTrajectory,
+                          LogEntry, MarkerDetected, MotionLog, reverse)
 from .perception import Color, Detection, Frame, detect
 from .scenario import MAX_MISSION_TICKS, _RETURNING_KINDS, MissionKind, MissionSpec
 from .scenario import build_scenario  # noqa: F401  (bench/workloads.py reads it from here)
@@ -183,11 +183,9 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
             detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
         return state.count >= _duration_ticks(rule, cfg.dt)
-    if isinstance(rule, Distance):
-        sx, sy = state.segment_start_xy
-        moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
-        return moved >= rule.meters - 1e-12
-    raise TypeError(f"unknown termination rule {rule!r}")
+    sx, sy = state.segment_start_xy  # a Distance: ImaginedSegment admits no other rule
+    moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
+    return moved >= rule.meters - 1e-12
 
 
 def tick(state: MissionState, spec: MissionSpec, world: WorldState, cfg: SimConfig

@@ -48,6 +48,12 @@ class MissionSpec:
     timeout: float = DEFAULT_TIMEOUT_S
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, MissionKind):
+            raise ScenarioError(f"kind must be a MissionKind, got {self.kind!r}")
+        if not isinstance(self.search_color, Color):
+            raise ScenarioError(f"search_color must be a Color, got {self.search_color!r}")
+        if not (self.home_color is None or isinstance(self.home_color, Color)):
+            raise ScenarioError(f"home_color must be None or a Color, got {self.home_color!r}")
         if not self.timeout > 0 or not math.isfinite(self.timeout):
             raise ScenarioError("timeout must be positive and finite")
         if self.kind in _RETURNING_KINDS and self.home_color is None:
@@ -121,7 +127,7 @@ def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
     track:        pink marker in view 0.3 m ahead, 0.2 m left of the start.
     forward:      pink marker 2.0 m ahead; forward search, hover on it.
     return:       as forward, then retrace and land on the home pad.
-    coordination: as return, taking off from and landing on the carrier.
+    coordination: as return, with equal rows (ROADMAP items 4 and 6).
     """
     try:
         kind = MissionKind(task)

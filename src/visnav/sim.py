@@ -82,8 +82,10 @@ class SimConfig:
         if loop_gain >= 1.0:
             raise ValueError(
                 f"unstable discrete loop: dt*k*focal/altitude = {loop_gain:.4g} (must be < 1)")
-        object.__setattr__(self, "carrier_waypoints",
-                           tuple((float(x), float(y)) for x, y in self.carrier_waypoints))
+        waypoints = tuple((float(x), float(y)) for x, y in self.carrier_waypoints)
+        if not all(math.isfinite(v) for wp in waypoints for v in wp):
+            raise ValueError(f"carrier_waypoints must be finite, got {waypoints!r}")
+        object.__setattr__(self, "carrier_waypoints", waypoints)
 
 
 @dataclass(eq=False)

@@ -193,6 +193,18 @@ def test_termination_validation():
     assert MarkerDetected(Color.PINK).color is Color.PINK
 
 
+@pytest.mark.parametrize("target, rule, match", [
+    ((320.0, 80.0), Duration(1.0), "target must be a PixelPoint"),
+    (PixelPoint(320.0, 80.0), 5, "terminate_on must be"),
+    (PixelPoint(320.0, 80.0), 1.0, "terminate_on must be"),
+    (PixelPoint(320.0, 80.0), Color.PINK, "terminate_on must be"),
+])
+def test_segment_rejects_a_target_or_rule_of_another_type(target, rule, match):
+    # either one failed only once flown: on the first tick, or the first expiry check
+    with pytest.raises(TypeError, match=match):
+        ImaginedSegment(target, rule)
+
+
 def test_fly_trajectory_rejects_non_duration_segments():
     traj = ImaginedTrajectory((
         ImaginedSegment(PixelPoint(320, 80), MarkerDetected(Color.PINK)),

@@ -458,6 +458,15 @@ def test_mission_spec_validation():
         MissionSpec(MissionKind.FORWARD_SEARCH_HOVER)   # no trajectory
     with pytest.raises(ScenarioError):
         MissionSpec(MissionKind.TRACK_VISIBLE, timeout=0.0)
+    # a kind or colour of another type flew the wrong mission or died mid-run
+    trajectory = forward_search_trajectory(frame, Color.PINK)
+    for fields, key in (({"kind": "return"}, "kind"), ({"search_color": "pink"}, "search_color"),
+                        ({"home_color": "blue"}, "home_color"), ({"home_color": 2}, "home_color")):
+        spec = {"kind": MissionKind.SEARCH_RETURN_LAND, "trajectory": trajectory, **fields}
+        with pytest.raises(ScenarioError, match=key):
+            MissionSpec(**spec)
+    assert MissionSpec(MissionKind.FORWARD_SEARCH_HOVER, home_color=None,
+                       trajectory=trajectory).home_color is None
 
 
 def test_tick_budget_is_checked_where_spec_and_config_meet():

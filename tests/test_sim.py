@@ -159,6 +159,7 @@ def test_sim_config_validation():
     ("carrier_speed", -0.3), ("carrier_speed", 0.0), ("carrier_speed", math.nan),
     ("carrier_speed", math.inf), ("carrier_marker_radius", 0.0),
     ("carrier_marker_radius", math.nan), ("carrier_marker_radius", math.inf),
+    ("carrier_waypoints", ((math.nan, 0.0),)), ("carrier_waypoints", ((1.0, 0.0), (0.0, math.inf))),
 ])
 def test_sim_config_rejects_non_finite_and_out_of_range_values(key, value):
     with pytest.raises(ValueError, match=key):
