@@ -37,6 +37,10 @@ class MarkerDetected:
 
     color: Color
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.color, Color):
+            raise TypeError(f"color must be a Color, got {self.color!r}")
+
 
 @dataclass(frozen=True)
 class Duration:
@@ -84,6 +88,9 @@ class ImaginedTrajectory:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a trajectory needs at least one segment")
+        for seg in self.segments:
+            if not isinstance(seg, ImaginedSegment):
+                raise TypeError(f"segments must be ImaginedSegments, got {seg!r}")
 
     def targets(self) -> tuple[PixelPoint, ...]:
         return tuple(s.target for s in self.segments)

@@ -14,10 +14,10 @@ and Frame.labels draws the whole grid, on every read, storing nothing.
 detect() of a color with no spot returns None without clipping a box.
 Otherwise it computes the count and centroid of isolated discs (no other
 drawn disc's box overlaps theirs) in closed form, from per-row span
-moments, and rasterises only overlaps: the window around the watched
-color's discs, where the nearest-disc tie-break decides each pixel.  One
-pass of the raster's own test settles a disc's sqrt-estimated row ends;
-only when some end misses do they step.
+moments: one probe pass of the raster's own test settles a disc's
+sqrt-estimated row ends.  An overlap, or a disc that pass does not
+settle, is rasterised: the window around the watched color's discs, where
+the nearest-disc tie-break decides each pixel.
 """
 
 from __future__ import annotations
@@ -126,46 +126,39 @@ def _raster(discs: Sequence[_Disc], window: tuple[int, int, int, int]) -> np.nda
 _PROBES = np.array([[[1.0]], [[0.0]]])
 
 
-def _moments(disc: _Disc) -> tuple[int, int, int]:
+def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
     """(count, sum of rows, sum of columns) of the pixels _raster gives
-    ``disc`` alone, in closed form.
+    ``disc`` alone, in closed form, or None when one probe pass cannot
+    prove them.
 
     In each row of the box the raster's test (c - cx)**2 + (r - cy)**2 <=
     radius**2 is monotone in c on either side of the center, so the row
     covers one contiguous span.  A sqrt estimates both ends, and one pass
     probes, with that same float test, the column just inside each end and
     the one just outside: the estimate is settled when every inside column
-    is covered and no outside one short of the box edge is.  Otherwise (an
-    empty row, or an estimate one column off) the ends step one column at a
-    time until none would move.  The span sums are integer arithmetic series.
+    is covered and no outside one short of the box edge is.  Any other row
+    (an empty one, or an estimate one column off) leaves the disc unsettled,
+    and detect() rasterises it.  The span sums are integer arithmetic series.
     """
     _, cx, cy, radius, r0, r1, c0, c1 = disc
     r2 = radius * radius
     # the ends are signed, outward positive: (-first column, last column);
-    # per end: the center, the box edge it stops at and the far edge it may
-    # reach when the row is empty (indexed: unpacking an array costs ~1 µs)
-    k = np.array((-cx, cx, -c0, c1 - 1, -c1, c0 - 1)).reshape(3, 2, 1)
-    center, edge, far_edge = k[0], k[1], k[2]
+    # per end: the center and the box edge it stops at (indexed: unpacking
+    # an array costs ~1 µs)
+    k = np.array((-cx, cx, -c0, c1 - 1)).reshape(2, 2, 1)
+    center, edge = k[0], k[1]
     rows = np.arange(r0, r1, dtype=np.float64)
     dy2 = (rows - cy) ** 2
     ends = np.abs(r2 - dy2)
     ends = np.floor(np.sqrt(ends, out=ends) + center)
-    np.fmin(ends, edge, out=ends)     # fmin/fmax: a NaN estimate (inf - inf) takes the edge
-    np.fmax(ends, far_edge, out=ends)
-    while True:
-        probes = (ends + _PROBES - center) ** 2 + dy2 <= r2
-        outer, inner = probes[0], probes[1]
-        # settled: no end would step (the box-edge mask is built only when
-        # some outer probe is covered, which most discs never have)
-        if inner.all() and not (outer.any() and (outer & (ends < edge)).any()):
-            break
-        # an end steps inward only on its own side of the center
-        side = np.array(((-min(round(cx), c1 - 1),), (max(round(cx), c0),)))
-        step = np.subtract(outer & (ends < edge), (ends >= side) > inner, dtype=np.int8)
-        if not step.any():
-            break
-        ends += step
-    n = np.maximum(ends[0] + ends[1] + 1.0, 0.0)
+    np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
+    probes = (ends + _PROBES - center) ** 2 + dy2 <= r2
+    outer, inner = probes[0], probes[1]
+    # the box-edge mask is built only when some outer probe is covered,
+    # which most discs never have
+    if not inner.all() or (outer.any() and (outer & (ends < edge)).any()):
+        return None
+    n = ends[0] + ends[1] + 1.0
     sums = ends @ n     # (-sum of first columns, sum of last columns)
     return int(n.sum()), int(rows @ n), int(sums[1] - sums[0]) // 2
 
@@ -265,8 +258,8 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     of their union.  None signals absence, not failure: a color with no
     spot in the frame returns None at once, before any box is clipped.
     The color's discs are summed in closed form when no other drawn disc's
-    box overlaps theirs; otherwise only the box around them is rasterised,
-    for the nearest-disc tie-break.
+    box overlaps theirs and one probe pass settles each of them; otherwise
+    only the box around them is rasterised, for the nearest-disc tie-break.
     """
     code = color._value_
     for spot in frame.spots:
@@ -278,14 +271,16 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     watched = [d for d in discs if d.code == code]
     if not watched:
         return None
-    if any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
-           for w in watched for d in discs if d is not w):
+    overlapped = any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
+                     for w in watched for d in discs if d is not w)
+    moments = [] if overlapped else [_moments(d) for d in watched]
+    if overlapped or None in moments:
         row0, row1 = min(d.row0 for d in watched), max(d.row1 for d in watched)
         col0, col1 = min(d.col0 for d in watched), max(d.col1 for d in watched)
         region = _raster(discs, (row0, row1, col0, col1))
         count, sum_rows, sum_cols = _label_moments(region, code, row0, col0)
     else:
-        count, sum_rows, sum_cols = [sum(m) for m in zip(*map(_moments, watched))]
+        count, sum_rows, sum_cols = [sum(m) for m in zip(*moments)]
     if count == 0 or count < min_blob_size:
         return None
     # exact integer sums in frame coordinates, then a single division

@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Optional
 
@@ -54,8 +55,12 @@ class MissionSpec:
             raise ScenarioError(f"search_color must be a Color, got {self.search_color!r}")
         if not (self.home_color is None or isinstance(self.home_color, Color)):
             raise ScenarioError(f"home_color must be None or a Color, got {self.home_color!r}")
-        if not self.timeout > 0 or not math.isfinite(self.timeout):
-            raise ScenarioError("timeout must be positive and finite")
+        if not (self.trajectory is None or isinstance(self.trajectory, ImaginedTrajectory)):
+            raise ScenarioError("trajectory must be None or an ImaginedTrajectory, "
+                                f"got {self.trajectory!r}")
+        if (isinstance(self.timeout, bool) or not isinstance(self.timeout, Real)
+                or not self.timeout > 0 or not math.isfinite(self.timeout)):
+            raise ScenarioError(f"timeout must be a positive finite number, got {self.timeout!r}")
         if self.kind in _RETURNING_KINDS and self.home_color is None:
             raise ScenarioError(f"{self.kind.value} missions need a home_color")
         track = self.kind is MissionKind.TRACK_VISIBLE
@@ -68,8 +73,9 @@ class MissionSpec:
 class Scenario:
     """A mission spec plus the world it runs in; seeds make worlds.
 
-    Raises ScenarioError when timeout / dt exceeds MAX_MISSION_TICKS, so no
-    run can be practically endless.
+    Raises ScenarioError when ``markers`` is not a tuple of Markers, or when
+    timeout / dt exceeds MAX_MISSION_TICKS, so no run can be practically
+    endless.
     """
 
     spec: MissionSpec
@@ -79,6 +85,9 @@ class Scenario:
     carrier_start: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.markers, tuple)
+                and all(isinstance(m, Marker) for m in self.markers)):
+            raise ScenarioError(f"markers must be a tuple of Markers, got {self.markers!r}")
         ticks = self.spec.timeout / self.cfg.dt
         if ticks > MAX_MISSION_TICKS:
             raise ScenarioError(

@@ -205,6 +205,22 @@ def test_segment_rejects_a_target_or_rule_of_another_type(target, rule, match):
         ImaginedSegment(target, rule)
 
 
+@pytest.mark.parametrize("color", ["pink", 1, None])
+def test_marker_rule_rejects_a_color_of_another_type(color):
+    # a string colour died on the first search tick, inside detect
+    with pytest.raises(TypeError, match="color must be a Color"):
+        MarkerDetected(color)
+
+
+@pytest.mark.parametrize("segment", [
+    5, (PixelPoint(320.0, 80.0), Duration(1.0)), Duration(1.0), None])
+def test_trajectory_rejects_a_segment_of_another_type(segment):
+    # one flown died on reaching that segment
+    good = ImaginedSegment(PixelPoint(320.0, 80.0), Duration(1.0))
+    with pytest.raises(TypeError, match="segments must be ImaginedSegments"):
+        ImaginedTrajectory((good, segment))
+
+
 def test_fly_trajectory_rejects_non_duration_segments():
     traj = ImaginedTrajectory((
         ImaginedSegment(PixelPoint(320, 80), MarkerDetected(Color.PINK)),

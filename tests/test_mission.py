@@ -458,15 +458,33 @@ def test_mission_spec_validation():
         MissionSpec(MissionKind.FORWARD_SEARCH_HOVER)   # no trajectory
     with pytest.raises(ScenarioError):
         MissionSpec(MissionKind.TRACK_VISIBLE, timeout=0.0)
-    # a kind or colour of another type flew the wrong mission or died mid-run
+    # a kind, colour or trajectory of another type flew the wrong mission or
+    # died mid-run; a timeout that is not a number raised a bare TypeError,
+    # or (True) ran a one-second mission
     trajectory = forward_search_trajectory(frame, Color.PINK)
     for fields, key in (({"kind": "return"}, "kind"), ({"search_color": "pink"}, "search_color"),
-                        ({"home_color": "blue"}, "home_color"), ({"home_color": 2}, "home_color")):
+                        ({"home_color": "blue"}, "home_color"), ({"home_color": 2}, "home_color"),
+                        ({"trajectory": trajectory.segments}, "trajectory"),
+                        ({"trajectory": trajectory.segments[0]}, "trajectory"),
+                        ({"trajectory": "forward"}, "trajectory"),
+                        ({"timeout": "5"}, "timeout"), ({"timeout": None}, "timeout"),
+                        ({"timeout": True}, "timeout"), ({"timeout": [5.0]}, "timeout")):
         spec = {"kind": MissionKind.SEARCH_RETURN_LAND, "trajectory": trajectory, **fields}
         with pytest.raises(ScenarioError, match=key):
             MissionSpec(**spec)
     assert MissionSpec(MissionKind.FORWARD_SEARCH_HOVER, home_color=None,
                        trajectory=trajectory).home_color is None
+    assert MissionSpec(MissionKind.TRACK_VISIBLE, timeout=5).timeout == 5
+
+
+def test_scenario_rejects_markers_of_another_type():
+    # a non-Marker was accepted and died in the first render
+    sc = zero_noise_scenario("track")
+    pink = sc.markers[0]
+    for markers in (("x",), (pink, 5), [pink], pink, None):
+        with pytest.raises(ScenarioError, match="markers must be a tuple of Markers"):
+            dataclasses.replace(sc, markers=markers)
+    assert dataclasses.replace(sc, markers=()).markers == ()
 
 
 def test_tick_budget_is_checked_where_spec_and_config_meet():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, Detection, Frame, FrameSpec, GroundedError, Marker, PixelPoint,
-                    Pose, detect, frame_filename, perception, project, render, write_ppm)
+from visnav import (Campaign, Color, Detection, Frame, FrameSpec, GroundedError, Marker,
+                    MissionKind, PixelPoint, Pose, default_scenario, detect, frame_filename,
+                    perception, project, render, run_campaign, write_ppm)
 
 DEFAULT = FrameSpec()
 HOVER = Pose(0.0, 0.0, 1.0, 0.0)
@@ -318,11 +319,10 @@ def _detect_all(frame):
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
                  st.lists(DISC, min_size=1, max_size=1)))
-def test_isolated_disc_moments_match_full_grid_without_raster(scene):
+def test_isolated_disc_moments_match_full_grid(scene):
     drone, markers = _build(scene, DEFAULT)
-    got, want, raster_calls = _detect_all(render(drone, markers, DEFAULT))
+    got, want, _ = _detect_all(render(drone, markers, DEFAULT))
     assert got == want
-    assert raster_calls == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,9 +358,8 @@ def test_far_centered_disc_matches_full_grid(z, yaw, log_distance, angle, u, v, 
     radius = math.hypot(center[0] - rim[0], center[1] - rim[1]) + slack * half_w
     drone = Pose(0.0, 0.0, z, yaw)
     frame = render(drone, [Marker(center, radius, Color.PINK)], DEFAULT)
-    got, want, raster_calls = _detect_all(frame)
+    got, want, _ = _detect_all(frame)
     assert got == want
-    assert raster_calls == 0
 
 
 SMALL = FrameSpec(64, 48, 32.0)
@@ -387,22 +386,42 @@ def pixel_discs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pixel_discs())
-# discs whose first probe pass does not settle: empty tangent rows (the top
-# and bottom rows reach no pixel center), rows wholly left of the clipped
-# box, and sqrt estimates one column off, which must step.  At x = 32 + 1 ulp
-# the tangent rows cover column 32 but their first column is estimated at
-# 33; at y = 11 + 1 ulp row 3 covers column 13 but its first is put at 14.
+# discs whose probe pass does not settle, so _moments returns None: empty
+# tangent rows (the top and bottom rows reach no pixel center), rows wholly
+# left of the clipped box, and sqrt estimates one column off.  At x = 32 +
+# 1 ulp the tangent rows cover column 32 but their first column is estimated
+# at 33; at y = 11 + 1 ulp row 3 covers column 13 but its first is put at 14.
 @example((32.5, 24.0, 5.0))
 @example((-3.5, 24.0, 5.0))
 @example((math.nextafter(32.0, math.inf), 24.0, 5.0))
 @example((28.0, math.nextafter(11.0, math.inf), 17.0))
 def test_disc_moments_match_its_raster(disc):
     x, y, radius = disc
-    discs = Frame(SMALL, ((Color.PINK.value, x, y, radius),)).discs
+    frame = Frame(SMALL, ((Color.PINK.value, x, y, radius),))
+    discs = frame.discs
     assume(discs)
     d, = discs
     region = perception._raster(discs, (d.row0, d.row1, d.col0, d.col1))
-    assert perception._moments(d) == perception._label_moments(region, d.code, d.row0, d.col0)
+    moments = perception._moments(d)
+    assert moments is None or moments == perception._label_moments(region, d.code, d.row0, d.col0)
+    # settled or rasterised, detect answers as the full grid does
+    assert detect(frame, Color.PINK, 1) == detect_on_labels(frame.labels, Color.PINK, 1)
+
+
+def test_one_probe_pass_settles_almost_every_disc_the_missions_watch():
+    # the closed form earns its place only while it nearly always answers:
+    # each disc it leaves unsettled costs detect a raster window instead
+    moments, results = perception._moments, []
+
+    def counting(disc):
+        results.append(moments(disc))
+        return results[-1]
+
+    with mock.patch.object(perception, "_moments", counting):
+        for kind in MissionKind:
+            run_campaign(Campaign(default_scenario(kind.value), trials=5, base_seed=0))
+    unsettled = sum(r is None for r in results)
+    assert results and unsettled < 0.02 * len(results), (unsettled, len(results))
 
 
 @pytest.mark.parametrize("z", [0.3, 0.1, 0.05])
