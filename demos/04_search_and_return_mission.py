@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """A full coordination mission, tick by tick.
 
-The vehicle takes off from the carrier robot, searches forward for the
-pink target, hovers over it, retraces its motion log, reacquires the
-carrier's blue pad, and lands on it.  Prints the FSM timeline and writes
-the per-tick trajectory CSV.
+"coordination" names the return mission: the vehicle takes off from the
+carrier robot, searches forward for the pink target, hovers over it,
+retraces its motion log, reacquires the carrier's blue pad, and lands back
+on it.  Prints the FSM timeline and writes the per-tick trajectory CSV.
 """
 
 import math

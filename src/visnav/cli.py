@@ -19,7 +19,7 @@ from pathlib import Path
 from .harness import (format_outcomes, format_summary, load_trajectory, path_spread,
                       read_results_csv, run_campaign, summarize_results)
 from .perception import ppm_size
-from .scenario import Campaign, MissionKind, ScenarioError, default_scenario, load_campaign
+from .scenario import TASKS, Campaign, ScenarioError, default_scenario, load_campaign
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a seeded mission campaign")
-    p_run.add_argument("--task", choices=[k.value for k in MissionKind],
+    p_run.add_argument("--task", choices=TASKS,
                        help="built-in scenario (ignored when --config names one)")
     p_run.add_argument("--trials", type=int, default=None,
                        help="trial count (default: config value, else 20)")

@@ -210,37 +210,41 @@ def _read_csv(path: str | Path, columns: Sequence[str],
     """Rows of a CSV file as dicts keyed by its header, each cell of a
     column in ``parsers`` (all of them among ``columns``) parsed once;
     raises MalformedLogError when the header lacks any of ``columns``, a
-    row has more or fewer fields than the header (blank lines are skipped)
-    or a typed cell does not parse, holds an underscore or a non-ASCII
-    character or is padded with whitespace."""
+    row has more or fewer fields than the header (blank lines are skipped),
+    a typed cell does not parse, holds an underscore or a non-ASCII
+    character or is padded with whitespace, or the csv module rejects a
+    line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = set(columns) - set(header)
-        if missing:
-            raise MalformedLogError(f"{what} file missing columns: {sorted(missing)}")
-        rows = []
-        for fields in reader:
-            if len(fields) != len(header):
-                if not fields:
-                    continue
-                raise MalformedLogError(
-                    f"{what} file line {reader.line_num}: {len(fields)} fields, "
-                    f"the header has {len(header)}")
-            row = dict(zip(header, fields))
-            for name, parse in parsers.items():
-                cell = row[name]
-                try:
-                    # int() and float() also take digit separators, padding, non-ASCII digits
-                    if "_" in cell or cell != cell.strip() or not cell.isascii():
-                        raise ValueError
-                    row[name] = parse(cell)
-                except ValueError:
+        try:
+            header = next(reader, [])
+            missing = set(columns) - set(header)
+            if missing:
+                raise MalformedLogError(f"{what} file missing columns: {sorted(missing)}")
+            rows = []
+            for fields in reader:
+                if len(fields) != len(header):
+                    if not fields:
+                        continue
                     raise MalformedLogError(
-                        f"{what} file line {reader.line_num}: {name} {cell!r} "
-                        f"is not {_EXPECTED[parse]}") from None
-            rows.append(row)
-        return rows
+                        f"{what} file line {reader.line_num}: {len(fields)} fields, "
+                        f"the header has {len(header)}")
+                row = dict(zip(header, fields))
+                for name, parse in parsers.items():
+                    cell = row[name]
+                    try:
+                        # int() and float() also take digit separators, padding, non-ASCII digits
+                        if "_" in cell or cell != cell.strip() or not cell.isascii():
+                            raise ValueError
+                        row[name] = parse(cell)
+                    except ValueError:
+                        raise MalformedLogError(
+                            f"{what} file line {reader.line_num}: {name} {cell!r} "
+                            f"is not {_EXPECTED[parse]}") from None
+                rows.append(row)
+            return rows
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise MalformedLogError(f"{what} file line {reader.line_num}: {exc}") from None
 
 
 def read_results_csv(path: str | Path) -> list[dict]:

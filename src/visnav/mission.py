@@ -7,15 +7,15 @@ the color its phase watches, steers on the blob centroid or the imagined
 segment target (or holds), and fires at most one phase change.  tick
 returns (command, err_px, detected, frame); no state keeps them.
 
-The four kinds:
+The three kinds:
 
   TRACK_VISIBLE         servo onto a marker already in view and hover.
   FORWARD_SEARCH_HOVER  fly an imagined trajectory until the search color
                         appears, then servo and hover.
   SEARCH_RETURN_LAND    as above, then retrace the outbound motion log,
-                        servo onto the home color and land on it.
-  CARRIER_COORDINATION  as SEARCH_RETURN_LAND, on the same code and with
-                        equal rows (ROADMAP items 4 and 6).
+                        servo onto the home color and land on it: the
+                        paper's carrier mission, task name "return" or
+                        "coordination" (visnav.scenario.TASKS).
 
 While searching and servoing outbound, each stretch of ticks with the
 same nonzero command and target becomes one motion-log entry; the return
@@ -36,7 +36,7 @@ from .geometry import FrameSpec, PixelPoint, Pose
 from .imagination import (Duration, EmptyLogError, ImaginedSegment, ImaginedTrajectory,
                           LogEntry, MarkerDetected, MotionLog, reverse)
 from .perception import Color, Detection, Frame, detect
-from .scenario import MAX_MISSION_TICKS, _RETURNING_KINDS, MissionKind, MissionSpec
+from .scenario import MAX_MISSION_TICKS, MissionKind, MissionSpec, check_tick_budget
 from .scenario import build_scenario  # noqa: F401  (bench/workloads.py reads it from here)
 from .sim import SimConfig, TrajectoryRow, WorldState, capture, step
 
@@ -248,7 +248,7 @@ def _act_blind(state: MissionState, spec: MissionSpec, world: WorldState,
         return _fly(state)
     if phase is Phase.HOVERING_ON_TARGET:
         if state.count * cfg.dt >= HOVER_DWELL_S - 1e-9:
-            if spec.kind not in _RETURNING_KINDS:
+            if spec.kind is not MissionKind.SEARCH_RETURN_LAND:
                 state.done = True  # and look, holding over the marker, this last tick
                 return None
             try:
@@ -328,8 +328,10 @@ def run(spec: MissionSpec, world: WorldState, cfg: SimConfig,
     Advances ``world`` in place.  One TrajectoryRow is recorded per tick
     (pose before the integration step, post-transition state label).
     frame_sink, when given, receives every captured frame as
-    (step_index, frame).
+    (step_index, frame).  A spec over scenario.check_tick_budget raises
+    ScenarioError before the first tick, leaving ``world`` untouched.
     """
+    check_tick_budget(spec, cfg)
     state = initial_state(spec)
     rows: list[TrajectoryRow] = []
     while True:

@@ -28,10 +28,10 @@ class MissionKind(Enum):
     TRACK_VISIBLE = "track"
     FORWARD_SEARCH_HOVER = "forward"
     SEARCH_RETURN_LAND = "return"
-    CARRIER_COORDINATION = "coordination"
 
 
-_RETURNING_KINDS = (MissionKind.SEARCH_RETURN_LAND, MissionKind.CARRIER_COORDINATION)
+#: Task names: each kind's value, and "coordination", the paper's name for the return mission.
+TASKS = {**{k.value: k for k in MissionKind}, "coordination": MissionKind.SEARCH_RETURN_LAND}
 
 
 class ScenarioError(ValueError):
@@ -61,7 +61,7 @@ class MissionSpec:
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, Real)
                 or not self.timeout > 0 or not math.isfinite(self.timeout)):
             raise ScenarioError(f"timeout must be a positive finite number, got {self.timeout!r}")
-        if self.kind in _RETURNING_KINDS and self.home_color is None:
+        if self.kind is MissionKind.SEARCH_RETURN_LAND and self.home_color is None:
             raise ScenarioError(f"{self.kind.value} missions need a home_color")
         track = self.kind is MissionKind.TRACK_VISIBLE
         if track != (self.trajectory is None):
@@ -69,13 +69,21 @@ class MissionSpec:
                                 else f"{self.kind.value} missions need a search trajectory")
 
 
+def check_tick_budget(spec: MissionSpec, cfg: SimConfig) -> None:
+    """Raise ScenarioError when timeout / dt exceeds MAX_MISSION_TICKS, so
+    no run can be practically endless."""
+    ticks = spec.timeout / cfg.dt
+    if ticks > MAX_MISSION_TICKS:
+        raise ScenarioError(f"timeout_s {spec.timeout} at dt {cfg.dt} allows {ticks:.4g} ticks "
+                            f"per mission, over the budget of {MAX_MISSION_TICKS}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A mission spec plus the world it runs in; seeds make worlds.
 
     Raises ScenarioError when ``markers`` is not a tuple of Markers, or when
-    timeout / dt exceeds MAX_MISSION_TICKS, so no run can be practically
-    endless.
+    the spec is over check_tick_budget.
     """
 
     spec: MissionSpec
@@ -88,11 +96,7 @@ class Scenario:
         if not (isinstance(self.markers, tuple)
                 and all(isinstance(m, Marker) for m in self.markers)):
             raise ScenarioError(f"markers must be a tuple of Markers, got {self.markers!r}")
-        ticks = self.spec.timeout / self.cfg.dt
-        if ticks > MAX_MISSION_TICKS:
-            raise ScenarioError(
-                f"timeout_s {self.spec.timeout} at dt {self.cfg.dt} allows {ticks:.4g} ticks "
-                f"per mission, over the budget of {MAX_MISSION_TICKS}")
+        check_tick_budget(self.spec, self.cfg)
 
     def make_world(self, seed: int) -> WorldState:
         z = self.cfg.altitude if self.spec.kind is MissionKind.TRACK_VISIBLE \
@@ -131,18 +135,16 @@ def forward_search_trajectory(frame: FrameSpec, search_color: Color) -> Imagined
 
 
 def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
-    """Built-in scenario for a CLI task name.
+    """Built-in scenario for a task name of TASKS.
 
     track:        pink marker in view 0.3 m ahead, 0.2 m left of the start.
     forward:      pink marker 2.0 m ahead; forward search, hover on it.
-    return:       as forward, then retrace and land on the home pad.
-    coordination: as return, with equal rows (ROADMAP items 4 and 6).
+    return:       as forward, then retrace and land back on the carrier's pad.
+    coordination: the return scenario, under the paper's name for it.
     """
-    try:
-        kind = MissionKind(task)
-    except ValueError:
-        raise ScenarioError(f"unknown task {task!r} (expected "
-                            + "|".join(k.value for k in MissionKind) + ")") from None
+    kind = TASKS.get(task) if isinstance(task, str) else None
+    if kind is None:
+        raise ScenarioError(f"unknown task {task!r} (expected {'|'.join(TASKS)})")
     cfg = SimConfig() if noise is None else SimConfig(noise=noise)
     if kind is MissionKind.TRACK_VISIBLE:
         return Scenario(MissionSpec(kind), cfg, markers=(Marker((0.3, 0.2), 0.06, Color.PINK),))
@@ -271,13 +273,15 @@ _CAMPAIGN_KEYS = ("trials", "base_seed")
 def load_campaign(path: str | Path) -> Campaign:
     """Read a JSON config file: build_scenario's Scenario, with the file's
     trials and base_seed where it sets them (else Campaign's defaults).
-    Raises ScenarioError on any malformed content."""
+    Raises ScenarioError, naming the file, when it cannot be read or is not
+    UTF-8 JSON (nesting too deep to parse included), and on any malformed
+    content."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"config {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return Campaign(build_scenario(data), **{k: data[k] for k in _CAMPAIGN_KEYS if k in data})
 
 

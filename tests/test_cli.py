@@ -8,8 +8,9 @@ import pytest
 
 from visnav import FrameSpec, default_scenario, load_campaign, run, run_campaign
 from visnav.cli import main
-from visnav.harness import MAX_DUMP_FRAME_BYTES
+from visnav.harness import MAX_DUMP_FRAME_BYTES, RESULTS_COLUMNS
 from visnav.perception import ppm_size
+from visnav.sim import TRAJECTORY_COLUMNS
 
 
 def write_config(tmp_path, **overrides):
@@ -71,6 +72,17 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{}"],
+                         ids=["nested_200000_deep", "not_utf8"])
+def test_run_config_too_deep_or_not_utf8_exits_2_naming_the_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {bad} is not valid UTF-8 JSON: ")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_run_strict_exits_3_on_failure(tmp_path, capsys):
@@ -198,6 +210,20 @@ def test_csv_row_with_the_wrong_field_count_exits_2(tmp_path, capsys, command, n
     header = len(lines[0].split(","))
     assert capsys.readouterr().err == \
         f"error: {what} file line 2: {len(row)} fields, the header has {header}\n"
+
+
+@pytest.mark.parametrize("command, columns, what", [("stats", RESULTS_COLUMNS, "results"),
+                                                     ("spread", TRAJECTORY_COLUMNS, "trajectory")])
+def test_csv_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys, command, columns, what):
+    path = tmp_path / "log.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerow(["0"] * len(columns))
+        writer.writerow(["x" * (csv.field_size_limit() + 1)] * len(columns))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {what} file line 3: field larger than field "
+                                       f"limit ({csv.field_size_limit()})\n")
 
 
 @pytest.mark.parametrize("command, name, column, expected", [

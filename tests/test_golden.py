@@ -5,7 +5,9 @@ SHA-256 of every file it writes (results.csv, trajectory_*.csv,
 summary.txt, and the dumped PPM frames folded into one digest) with a
 recorded value.  A speed-up or refactor that changes any of these bytes
 changes simulator behaviour; a deliberate behaviour change re-records
-them with ``PYTHONPATH=src python tests/test_golden.py``.
+them with ``PYTHONPATH=src python tests/test_golden.py``.  Each case also
+runs as a real ``python -m visnav.cli`` process under PYTHONHASHSEED 0 and
+4242, so no output depends on the order of a hashed set or dict.
 
 Each trajectory file also has a label-stripped digest, taken with every
 ``reversing:<n>`` state label rewritten to ``reversing``.  It pins the
@@ -21,7 +23,10 @@ clock, every motion-log entry of both legs and the generator state.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +62,8 @@ CASES = {
                       "sim": {"frame": {"width": 64, "height": 36, "focal_length": 32.0}}},
                      ["--dump-frames"]),
 }
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Key suffix of a trajectory file's label-stripped digest.
 UNINDEXED = "without reversing index"
@@ -108,14 +115,24 @@ GOLDEN = {
 }
 
 
-def campaign_digests(config: dict, flags: list, tmp: Path) -> dict:
+def campaign_digests(config: dict, flags: list, tmp: Path, hash_seed: str = "") -> dict:
     """SHA-256 of each file a two-trial, seed-3 run writes; each trial's
-    frames fold into one digest over their names and bytes."""
+    frames fold into one digest over their names and bytes.  The run is a
+    call of cli.main, or with ``hash_seed`` a ``python -m visnav.cli``
+    process under that PYTHONHASHSEED."""
     path = tmp / "config.json"
     path.write_text(json.dumps(config))
     out = tmp / "out"
-    assert main(["run", "--config", str(path), "--trials", "2", "--seed", "3",
-                 "--out", str(out), *flags]) == 0
+    argv = ["run", "--config", str(path), "--trials", "2", "--seed", "3", "--out", str(out),
+            *flags]
+    if not hash_seed:
+        assert main(argv) == 0
+    else:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "visnav.cli", *argv], cwd=tmp, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
     digests = {}
     for p in sorted(out.iterdir()):
         if p.is_file():
@@ -136,6 +153,13 @@ def campaign_digests(config: dict, flags: list, tmp: Path) -> dict:
 def test_campaign_bytes_match_recorded_digests(name, tmp_path, capsys):
     config, flags = CASES[name]
     assert campaign_digests(config, flags, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_process_writes_the_recorded_bytes_under_each_hash_seed(name, hash_seed, tmp_path):
+    config, flags = CASES[name]
+    assert campaign_digests(config, flags, tmp_path, hash_seed) == GOLDEN[name]
 
 
 #: Duration-terminated segments: (target pixel, seconds).  The odd lengths

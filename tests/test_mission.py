@@ -1,4 +1,4 @@
-"""Mission FSM behavior for the four task kinds."""
+"""Mission FSM behavior for the three mission kinds and the four task names."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ from visnav import (ZERO_COMMAND, AbsorbingStateError, Campaign, Color, Controll
                     forward_search_trajectory, initial_state, load_campaign, run,
                     square_trajectory, tick, write_trajectory_csv)
 from visnav.harness import load_trajectory
-from visnav.scenario import MAX_MISSION_TICKS, build_scenario
+from visnav.scenario import MAX_MISSION_TICKS, TASKS, build_scenario
 
 ZERO_NOISE = NoiseModel.zero()
 
@@ -506,9 +506,36 @@ def test_tick_budget_is_checked_where_spec_and_config_meet():
         Scenario(long_spec, sc.cfg)
 
 
+def test_run_refuses_a_spec_over_the_tick_budget_before_its_first_tick():
+    # a spec built in code meets no Scenario: run checks the budget itself
+    sc = zero_noise_scenario("forward")
+    spec = dataclasses.replace(sc.spec, timeout=1e300)
+    world = sc.make_world(0)
+
+    def no_frame(step, frame):
+        raise AssertionError(f"the mission flew to step {step}")
+
+    with pytest.raises(ScenarioError, match=f"over the budget of {MAX_MISSION_TICKS}"):
+        run(spec, world, sc.cfg, frame_sink=no_frame)
+    assert world.steps == 0 and world.time == 0.0
+
+
+def test_task_names_are_the_kinds_and_coordination_for_return():
+    assert len(MissionKind) == 3
+    assert TASKS == {"track": MissionKind.TRACK_VISIBLE,
+                     "forward": MissionKind.FORWARD_SEARCH_HOVER,
+                     "return": MissionKind.SEARCH_RETURN_LAND,
+                     "coordination": MissionKind.SEARCH_RETURN_LAND}
+    for task, kind in TASKS.items():
+        assert default_scenario(task).spec.kind is kind
+    assert default_scenario("coordination") == default_scenario("return")
+
+
 def test_default_scenario_rejects_unknown_task():
-    with pytest.raises(ScenarioError):
-        default_scenario("wander")
+    for task in ("wander", "Return", ["return"], None):
+        with pytest.raises(ScenarioError,
+                           match=re.escape("expected track|forward|return|coordination")):
+            default_scenario(task)
 
 
 def test_load_campaign_from_config_file(tmp_path):
@@ -745,11 +772,11 @@ _SEARCHES = st.one_of(
 
 @st.composite
 def mission_configs(draw):
-    """Config trees over all four tasks with stationary carriers: a pink
+    """Config trees over all four task names with stationary carriers: a pink
     target (in view for track, ahead of the start otherwise), up to two
     distractors in colors no mission watches, drift, jitter, a raised pad
     and forward, square or segment searches."""
-    task = draw(st.sampled_from([k.value for k in MissionKind]))
+    task = draw(st.sampled_from(list(TASKS)))
     x, y = (st.floats(-0.4, 0.4), st.floats(-0.8, 0.8)) if task == "track" \
         else (st.floats(0.3, 1.5), st.floats(-0.5, 0.5))
     markers = [{"x": draw(x), "y": draw(y), "radius": draw(st.floats(0.04, 0.12)),
@@ -780,7 +807,7 @@ def test_mission_invariants_over_generated_scenarios(tmp_path_factory, config, s
     assert audit_transitions([r.fsm_state for r in rows]) == []
     assert result.outcome in OUTCOMES
     assert result.outcome == "success" or rows[-1].fsm_state == result.outcome
-    if result.success and sc.spec.kind.value in ("return", "coordination"):
+    if result.success and sc.spec.kind is MissionKind.SEARCH_RETURN_LAND:
         assert rows[-1].fsm_state == "landed"
         off_pad = math.hypot(world.drone.x - world.carrier.x, world.drone.y - world.carrier.y)
         assert off_pad <= sc.cfg.carrier_marker_radius
@@ -791,3 +818,10 @@ def test_mission_invariants_over_generated_scenarios(tmp_path_factory, config, s
     path = tmp_path_factory.getbasetemp() / "mission_invariants.csv"
     write_trajectory_csv(rows, path)
     assert load_trajectory(path) == list(rows)
+
+
+@settings(deadline=None)
+@given(mission_configs())
+def test_a_coordination_config_builds_the_return_scenario(config):
+    assert build_scenario({**config, "task": "coordination"}) == \
+        build_scenario({**config, "task": "return"})
