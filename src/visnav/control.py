@@ -9,6 +9,7 @@ and drops to exactly zero inside the hover threshold.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 from .geometry import PixelPoint, _require_finite
@@ -55,7 +56,8 @@ class ControllerGains:
         if not 0 < self.max_speed < math.inf:
             raise ValueError("max_speed must be positive and finite")
         if type(self.literal_axes) is not bool:
-            raise ValueError(f"literal_axes must be true or false, got {self.literal_axes!r}")
+            raise ValueError("literal_axes must be true or false, "
+                             f"got {reprlib.repr(self.literal_axes)}")
 
 
 @dataclass(frozen=True)

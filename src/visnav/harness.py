@@ -7,26 +7,26 @@ results.csv, per-trial trajectory CSVs and summary.txt into an output
 directory.  Everything is a pure function of (scenario, base_seed,
 trials), so outputs are bit-identical across repeated runs.  A zero-noise
 world never draws a random number, so every seed flies the same mission:
-a zero-noise campaign flies it once and its records share that one
-MissionResult, unless it dumps frames, which runs every trial.
+a zero-noise campaign flies it once, with or without frames, and its
+records share that one MissionResult and its trial directories its frames.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import operator
+import reprlib
 import shutil
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .mission import MissionResult, Phase, run
-from .perception import frame_filename, ppm_size, write_ppm
+from .perception import Frame, frame_filename, ppm_size, write_ppm
 from .scenario import Campaign
 from .sim import TRAJECTORY_COLUMNS, NoiseModel, TrajectoryRow, write_trajectory_csv
 
@@ -106,17 +106,16 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     trajectory_{trial}.csv per trial once every trial has run.  A
     ``dump_frames`` stride n >= 1 (True means 1) additionally saves every
     n-th captured frame of a trial, from its first, under trial_{trial}/ as
-    PPM files named by step, creating that directory at its first frame;
-    0 (or False) dumps none.  A negative stride raises ValueError, as do a
-    stride >= 1 without ``out_dir`` and a dump of frames over
-    MAX_DUMP_FRAME_BYTES, before any trial runs.
+    PPM files named by step once the trial has flown, creating that
+    directory at its first frame; 0 (or False) dumps none.  A negative
+    stride raises ValueError, as do a stride >= 1 without ``out_dir`` and a
+    dump of frames over MAX_DUMP_FRAME_BYTES, before any trial runs.
     When a trial or a write raises, every directory this call created is
     removed, with what was written into it, before the error propagates.
 
     Under NoiseModel.zero() the mission does not depend on the seed, so
     trial 0 is flown and trials 1..N-1 get its frozen MissionResult (each
-    record keeps its own trial and seed); with frames dumped every trial
-    still runs, so each trial_{trial}/ gets its own frames.
+    record keeps its own trial and seed) and, when dumping, its frames.
     """
     stride = operator.index(dump_frames)
     if stride < 0:
@@ -124,12 +123,12 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
     if stride and out_dir is None:
         raise ValueError("dump_frames needs an out_dir to write the frames into")
     out_path = Path(out_dir) if out_dir is not None else None
-    dumps = bool(stride)
     size = ppm_size(campaign.scenario.cfg.frame)
-    if dumps and size > MAX_DUMP_FRAME_BYTES:
+    if stride and size > MAX_DUMP_FRAME_BYTES:
         raise ValueError(f"frame.width x frame.height makes a {size}-byte frame, over the "
                          f"dump cap of {MAX_DUMP_FRAME_BYTES}: {campaign.scenario.cfg.frame}")
     created: list[Path] = []  # outermost first
+    frames: list[tuple[int, Frame]] = []  # (step, frame) of the last trial flown, when dumping
 
     def make_dirs(path: Path) -> None:
         if not path.is_dir():
@@ -137,26 +136,23 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
             path.mkdir()
             created.append(path)
 
-    fly_once = campaign.scenario.cfg.noise == NoiseModel.zero() and not dumps
+    def keep(step: int, frame: Frame) -> None:
+        frames.append((step, frame))
+
+    fly_once = campaign.scenario.cfg.noise == NoiseModel.zero()
 
     try:
         records: list[TrialRecord] = []
         for trial in range(campaign.trials):
             seed = campaign.base_seed + trial
-            if fly_once and records:
-                records.append(TrialRecord(trial, seed, records[0].result))
-                continue
-            world = campaign.scenario.make_world(seed)
-            sink = None
-            if dumps:
-                def sink(step: int, frame, d: Path = out_path / f"trial_{trial}",
-                         captured: Iterator[int] = itertools.count()) -> None:
-                    if next(captured) % stride == 0:
-                        make_dirs(d)
-                        write_ppm(frame, d / frame_filename(step))
-            result = run(campaign.scenario.spec, world, campaign.scenario.cfg,
-                         frame_sink=sink)
+            if trial == 0 or not fly_once:
+                frames.clear()
+                result = run(campaign.scenario.spec, campaign.scenario.make_world(seed),
+                             campaign.scenario.cfg, frame_sink=keep if stride else None)
             records.append(TrialRecord(trial, seed, result))
+            for step, frame in frames[::stride or 1]:
+                make_dirs(out_path / f"trial_{trial}")
+                write_ppm(frame, out_path / f"trial_{trial}" / frame_filename(step))
 
         stats = _aggregate([r.result.elapsed_s for r in records if r.result.success], records)
         if out_path is not None:
@@ -173,7 +169,7 @@ def run_campaign(campaign: Campaign, out_dir: Optional[str | Path] = None,
 
 
 def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_COLUMNS)
         for rec in records:
@@ -212,9 +208,9 @@ def _read_csv(path: str | Path, columns: Sequence[str],
     raises MalformedLogError when the header lacks any of ``columns``, a
     row has more or fewer fields than the header (blank lines are skipped),
     a typed cell does not parse, holds an underscore or a non-ASCII
-    character or is padded with whitespace, or the csv module rejects a
-    line."""
-    with open(path, newline="") as fh:
+    character or is padded with whitespace, the file is not UTF-8, or the
+    csv module rejects a line."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -239,12 +235,14 @@ def _read_csv(path: str | Path, columns: Sequence[str],
                         row[name] = parse(cell)
                     except ValueError:
                         raise MalformedLogError(
-                            f"{what} file line {reader.line_num}: {name} {cell!r} "
+                            f"{what} file line {reader.line_num}: {name} {reprlib.repr(cell)} "
                             f"is not {_EXPECTED[parse]}") from None
                 rows.append(row)
             return rows
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
             raise MalformedLogError(f"{what} file line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
+            raise MalformedLogError(f"{what} file is not UTF-8: {exc.reason}") from None
 
 
 def read_results_csv(path: str | Path) -> list[dict]:

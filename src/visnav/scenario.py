@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from numbers import Real
@@ -122,7 +123,7 @@ class Campaign:
         for key, least in (("trials", 1), ("base_seed", 0)):
             value = getattr(self, key)
             if type(value) is not int:  # a bool is not a count or a seed
-                raise ScenarioError(f"{key} must be an integer, got {value!r}")
+                raise ScenarioError(f"{key} must be an integer, got {reprlib.repr(value)}")
             if value < least:
                 raise ScenarioError(f"{key} must be >= {least}, got {value}")
 
@@ -144,7 +145,7 @@ def default_scenario(task: str, noise: Optional[NoiseModel] = None) -> Scenario:
     """
     kind = TASKS.get(task) if isinstance(task, str) else None
     if kind is None:
-        raise ScenarioError(f"unknown task {task!r} (expected {'|'.join(TASKS)})")
+        raise ScenarioError(f"unknown task {reprlib.repr(task)} (expected {'|'.join(TASKS)})")
     cfg = SimConfig() if noise is None else SimConfig(noise=noise)
     if kind is MissionKind.TRACK_VISIBLE:
         return Scenario(MissionSpec(kind), cfg, markers=(Marker((0.3, 0.2), 0.06, Color.PINK),))
@@ -156,22 +157,27 @@ def _parse_color(key: str, name) -> Color:
     """A config color: a JSON string naming a Color, in any case.  Any
     other JSON value, or an unknown name, is rejected, naming its key."""
     if not isinstance(name, str):
-        raise ScenarioError(f"{key} must be a color name string, got {name!r}")
+        raise ScenarioError(f"{key} must be a color name string, got {reprlib.repr(name)}")
     try:
         return Color[name.upper()]
     except KeyError:
-        raise ScenarioError(f"{key}: unknown color {name!r}; known: "
+        raise ScenarioError(f"{key}: unknown color {reprlib.repr(name)}; known: "
                             + ", ".join(c.name.lower() for c in Color)) from None
 
 
-def _object(where: str, node, known: tuple[str, ...]) -> dict:
+def _object(where: str, node, known: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
     """A config JSON object, rejected, naming the key, when it holds a key
-    outside ``known``: a misspelt key would fall back to its default."""
+    outside ``known`` (a misspelt key would fall back to its default) or
+    lacks one of ``required``."""
     if not isinstance(node, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
+        raise ScenarioError(f"{where} must be a JSON object, got {reprlib.repr(node)}")
     for key in node:
         if key not in known:
-            raise ScenarioError(f"unknown {where} key {key!r}; known: {', '.join(known)}")
+            raise ScenarioError(f"unknown {where} key {reprlib.repr(key)}; "
+                                f"known: {', '.join(known)}")
+    for key in required:
+        if key not in node:
+            raise ScenarioError(f"{where} is missing key {key!r}")
     return node
 
 
@@ -192,21 +198,23 @@ def _settings(where: str, node, default) -> dict:
 
 
 def _typed(where: str, node, types: dict[str, tuple[str, ...]],
-           default: Optional[str]) -> str:
+           default: Optional[str], optional: tuple[str, ...] = ()) -> str:
     """The "type" of a config object (``default`` when absent), one of
     ``types``' keys; besides "type" the object may hold only the keys
-    that type lists."""
+    that type lists, and must hold each of them not in ``optional``."""
     if not isinstance(node, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {node!r}")
+        raise ScenarioError(f"{where} must be a JSON object, got {reprlib.repr(node)}")
     kind = node.get("type", default)
     if not isinstance(kind, str) or kind not in types:
-        raise ScenarioError(f"unknown {where} type {kind!r}")
-    _object(f"{kind} {where}", node, ("type", *types[kind]))
+        raise ScenarioError(f"unknown {where} type {reprlib.repr(kind)}")
+    _object(f"{kind} {where}", node, ("type", *types[kind]),
+            tuple(key for key in types[kind] if key not in optional))
     return kind
 
 
 def _parse_marker(node) -> Marker:
-    m = _object("marker", node, ("x", "y", "radius", "color"))
+    keys = ("x", "y", "radius", "color")
+    m = _object("marker", node, keys, keys)
     return Marker((_number("x", m["x"]), _number("y", m["y"])),
                   _number("radius", m["radius"]), _parse_color("color", m["color"]))
 
@@ -223,7 +231,7 @@ def _parse_termination(node: dict):
 
 def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> ImaginedTrajectory:
     kind = _typed("trajectory", node, {"forward": (), "square": ("side_duration_s", "offset_px"),
-                                       "segments": ("segments",)}, "forward")
+                                       "segments": ("segments",)}, "forward", ("offset_px",))
     if kind == "forward":
         return forward_search_trajectory(frame, search_color)
     if kind == "square":
@@ -231,12 +239,12 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
                                  _number("offset_px", node.get("offset_px", DEFAULT_OFFSET_PX)))
     segs = []
     for s in _array("segments", node["segments"]):
-        _object("segment", s, ("target", "until"))
+        _object("segment", s, ("target", "until"), ("target", "until"))
         x, y = _finite_pair("target", s["target"])
         # its error norm is the err_px of every tick that flies it, so must be finite too
         if not math.isfinite(math.hypot(x - frame.center.x, y - frame.center.y)):
-            raise ScenarioError(f"target {s['target']!r} is too far from the frame center: "
-                                "its pixel error overflows")
+            raise ScenarioError(f"target {reprlib.repr(s['target'])} is too far from the frame "
+                                "center: its pixel error overflows")
         segs.append(ImaginedSegment(PixelPoint(x, y), _parse_termination(s["until"])))
     return ImaginedTrajectory(tuple(segs))
 
@@ -244,7 +252,7 @@ def _parse_trajectory(node: dict, frame: FrameSpec, search_color: Color) -> Imag
 def _array(key: str, value) -> list:
     """A config JSON array; any other JSON value is rejected, naming its key."""
     if not isinstance(value, list):
-        raise ScenarioError(f"{key} must be a JSON array, got {value!r}")
+        raise ScenarioError(f"{key} must be a JSON array, got {reprlib.repr(value)}")
     return value
 
 
@@ -254,7 +262,7 @@ def _finite_pair(key: str, value) -> tuple[float, float]:
     mid-run otherwise)."""
     if not (isinstance(value, list) and len(value) == 2
             and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ScenarioError(f"{key} must be a finite [x, y] pair, got {value!r}")
+        raise ScenarioError(f"{key} must be a finite [x, y] pair, got {reprlib.repr(value)}")
     return float(value[0]), float(value[1])
 
 
@@ -262,7 +270,7 @@ def _number(key: str, value) -> float:
     """A config number as a float.  Any other JSON value (a bool, string,
     null, list or object) is rejected, naming its key, not coerced."""
     if type(value) not in (int, float):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
+        raise ScenarioError(f"{key} must be a number, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -295,12 +303,8 @@ def build_scenario(data: dict) -> Scenario:
     """
     _object("config", data, ("task", "search_color", "home_color", "timeout_s",
                              *_CAMPAIGN_KEYS, "markers", "drone_start", "carrier_start",
-                             "trajectory", "sim"))
-    try:
-        task = data["task"]
-    except KeyError:
-        raise ScenarioError('config is missing the "task" key') from None
-    base = default_scenario(task)
+                             "trajectory", "sim"), ("task",))
+    base = default_scenario(data["task"])
 
     try:
         sim_node = _settings("sim", data.get("sim", {}), base.cfg)

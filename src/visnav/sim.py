@@ -247,7 +247,7 @@ TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))
 def write_trajectory_csv(rows: Sequence[TrajectoryRow], path: str | Path) -> None:
     """Write rows with the canonical header.  csv writes a float as str, which
     harness.load_trajectory reads back bit-exactly, and None as an empty cell."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
         writer.writerows(map(operator.attrgetter(*TRAJECTORY_COLUMNS), rows))

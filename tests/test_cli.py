@@ -256,6 +256,64 @@ def test_csv_value_that_does_not_parse_exits_2(tmp_path, capsys, command, name, 
         f"error: {what} file line {len(rows)}: {column} {value!r} is not {expected}\n"
 
 
+@pytest.mark.parametrize("command, name, what, column", [
+    ("stats", "results.csv", "results", "outcome"),
+    ("spread", "trajectory_0.csv", "trajectory", "fsm_state")])
+def test_csv_that_is_not_utf8_exits_2_naming_the_file_kind(tmp_path, capsys, command, name,
+                                                           what, column):
+    cfg = write_config(tmp_path, task="return",
+                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
+    with open(out / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[-1][rows[0].index(column)] = "landed\udcff"  # a lone 0xff byte once encoded
+    with open(out / name, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main([command, "--in", str(out / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} file is not UTF-8: ")
+
+
+def test_csv_cell_error_bounds_the_cell_it_echoes(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_COLUMNS)
+        writer.writerow(["7" * 100_000, 0, "success", 1.0, 10, 0.0, 0.0])
+    assert main(["stats", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: results file line 2: trial ") and len(err.encode()) < 1024
+
+
+def test_config_error_bounds_the_value_it_echoes(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"task": "return", "markers": {"x": "a" * 2_000_000}}))
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: markers must be a JSON array") and len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("message, config", [
+    ("marker is missing key 'y'",
+     {"task": "forward", "markers": [{"x": 1.0, "radius": 0.06, "color": "pink"}]}),
+    ("segment is missing key 'target'",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [
+         {"until": {"type": "marker", "color": "pink"}}]}}),
+    ("square trajectory is missing key 'side_duration_s'",
+     {"task": "forward", "trajectory": {"type": "square"}}),
+    ("duration termination is missing key 'seconds'",
+     {"task": "forward", "trajectory": {"type": "segments", "segments": [
+         {"target": [320, 80], "until": {"type": "duration"}}]}}),
+])
+def test_run_names_a_missing_required_config_key(tmp_path, capsys, message, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
     # drift and takeoff jitter on: every file the run writes must read back
     out = tmp_path / "out"

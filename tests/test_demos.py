@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# demo 05 (the drift study) takes several seconds and is left out
 DEMOS = ("01_pixel_controller.py", "02_camera_and_detection.py",
-         "03_square_search_and_reversal.py", "04_search_and_return_mission.py")
+         "03_square_search_and_reversal.py", "04_search_and_return_mission.py",
+         "05_drift_spread_study.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -102,6 +102,24 @@ def test_zero_noise_campaign_dumps_the_same_frames_for_every_trial(tmp_path):
     assert dumps[0] and dumps[1] == dumps[0] and dumps[2] == dumps[0]
 
 
+def test_zero_noise_campaign_dumping_frames_flies_once(tmp_path, monkeypatch):
+    import visnav.harness as harness
+    calls = []
+
+    def counted_run(spec, world, cfg, frame_sink=None):
+        calls.append(world.seed)
+        return run(spec, world, cfg, frame_sink=frame_sink)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    sc = default_scenario("return", noise=NoiseModel.zero())
+    stats = run_campaign(Campaign(sc, trials=5, base_seed=7), out_dir=tmp_path, dump_frames=50)
+    assert calls == [7]
+    assert all(rec.result is stats.records[0].result for rec in stats.records)
+    dumps = [{p.name: p.read_bytes() for p in (tmp_path / f"trial_{t}").iterdir()}
+             for t in range(5)]
+    assert dumps[0] and all(d == dumps[0] for d in dumps)
+
+
 def test_campaign_seeds_are_base_plus_index():
     sc = default_scenario("track", noise=NoiseModel.zero())
     stats = run_campaign(Campaign(sc, trials=4, base_seed=100))
@@ -303,7 +321,7 @@ def test_campaign_validation():
 
 
 def test_failed_trial_removes_every_directory_the_campaign_created(tmp_path, monkeypatch):
-    # trial 0 completes and trial 1 dumps its frames before it raises
+    # trial 0 completes and its frames are written; trial 1 raises before any of its are
     import visnav.harness as harness
     calls = []
 

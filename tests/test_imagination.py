@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
+from visnav import (Color, Distance, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
                     ImaginedTrajectory, MarkerDetected, MissionKind, MissionSpec,
                     MotionLog, NoiseModel, PixelPoint, Pose, Scenario, SimConfig,
                     Phase, VelocityCommand, fly_trajectory, forward_target,
@@ -190,6 +190,9 @@ def test_termination_validation():
         Duration(0.0)
     with pytest.raises(ValueError):
         ImaginedTrajectory(())
+    for meters in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            Distance(meters)
     assert MarkerDetected(Color.PINK).color is Color.PINK
 
 

@@ -92,6 +92,11 @@ def test_fsm_audit_all_kinds(task, seed):
     assert audit_transitions([r.fsm_state for r in result.rows]) == []
 
 
+def test_fsm_audit_reports_an_unknown_state_label():
+    assert audit_transitions(["taking_off", "flying", "searching:0"]) == \
+        ["unknown state label 'flying'"]
+
+
 def test_tick_after_landed_raises():
     sc = zero_noise_scenario("return")
     world = sc.make_world(0)
