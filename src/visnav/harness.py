@@ -205,15 +205,19 @@ def _read_csv(path: str | Path, columns: Sequence[str],
               parsers: dict[str, Callable[[str], object]], what: str) -> list[dict]:
     """Rows of a CSV file as dicts keyed by its header, each cell of a
     column in ``parsers`` (all of them among ``columns``) parsed once;
-    raises MalformedLogError when the header lacks any of ``columns``, a
-    row has more or fewer fields than the header (blank lines are skipped),
-    a typed cell does not parse, holds an underscore or a non-ASCII
-    character or is padded with whitespace, the file is not UTF-8, or the
-    csv module rejects a line."""
+    raises MalformedLogError when the header names a column twice or lacks
+    any of ``columns``, a row has more or fewer fields than the header
+    (blank lines are skipped), a typed cell does not parse, holds an
+    underscore or a non-ASCII character or is padded with whitespace, the
+    file is not UTF-8, or the csv module rejects a line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
+            repeated = [name for name, n in Counter(header).items() if n > 1]
+            if repeated:
+                raise MalformedLogError(
+                    f"{what} file header names column {reprlib.repr(repeated[0])} twice")
             missing = set(columns) - set(header)
             if missing:
                 raise MalformedLogError(f"{what} file missing columns: {sorted(missing)}")
@@ -248,8 +252,8 @@ def _read_csv(path: str | Path, columns: Sequence[str],
 def read_results_csv(path: str | Path) -> list[dict]:
     """Rows of a results.csv as dicts: trial, seed and ticks as ints, the
     other numbers as finite floats.  Raises MalformedLogError when the
-    header lacks required columns, a row's field count differs from it or
-    a number does not parse."""
+    header names a column twice or lacks a required one, a row's field
+    count differs from it or a number does not parse."""
     return _read_csv(path, RESULTS_COLUMNS, _RESULTS_PARSERS, "results")
 
 
@@ -266,15 +270,24 @@ def summarize_results(rows: Sequence[dict]) -> CampaignStats:
 #: at least 10, then lie beyond it.
 P95_MIN_SUCCESSES = 200
 
+#: Longest outcome label printed whole, more than twice the longest that
+#: run writes ("failed:reversal_unavailable").
+MAX_OUTCOME_LABEL = 64
+
 
 def format_outcomes(rows: Sequence[dict]) -> str:
     """The lines `visnav stats` prints after the summary: one
     ``outcome <label>: <count>`` line per distinct outcome, in label order,
     then the median elapsed time of the successful trials (nan when there
     are none) and, from P95_MIN_SUCCESSES of them on, their 95th
-    percentile (linear interpolation)."""
+    percentile (linear interpolation).  A label over MAX_OUTCOME_LABEL
+    characters prints cut to that many, then ``... (<n> characters)``."""
     counts = Counter(r["outcome"] for r in rows)
-    lines = [f"outcome {label}: {counts[label]}" for label in sorted(counts)]
+    lines = []
+    for label in sorted(counts):
+        shown = label if len(label) <= MAX_OUTCOME_LABEL else \
+            f"{label[:MAX_OUTCOME_LABEL]}... ({len(label)} characters)"
+        lines.append(f"outcome {shown}: {counts[label]}")
     times = _success_times(rows)
     p50 = float(np.percentile(times, 50)) if times else float("nan")
     lines.append(f"elapsed_p50_s: {p50}")
@@ -286,10 +299,10 @@ def format_outcomes(rows: Sequence[dict]) -> str:
 def load_trajectory(path: str | Path) -> list[TrajectoryRow]:
     """Read a trajectory CSV back into rows.
 
-    Raises MalformedLogError when the header is missing any canonical
-    column, a row's field count differs from the header's, or a number
-    does not parse (step must be an integer, the other numbers finite,
-    err_px empty or finite).
+    Raises MalformedLogError when the header names a column twice or is
+    missing any canonical column, a row's field count differs from the
+    header's, or a number does not parse (step must be an integer, the
+    other numbers finite, err_px empty or finite).
     """
     return [TrajectoryRow(*(raw[c] for c in TRAJECTORY_COLUMNS))
             for raw in _read_csv(path, TRAJECTORY_COLUMNS, _TRAJECTORY_PARSERS, "trajectory")]

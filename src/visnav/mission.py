@@ -80,7 +80,9 @@ class AbsorbingStateError(RuntimeError):
 @dataclass
 class MissionState:
     """FSM state and per-phase bookkeeping carried from tick to tick, owned by
-    one loop; what a tick commands and sees is tick's return value."""
+    one loop; what a tick commands and sees is tick's return value.
+    landing_gains is cfg.gains with hover_threshold LAND_THRESHOLD_PX, built
+    once per mission, at its first servoing_home or landing hit."""
 
     phase: Phase = field(init=False)  # phase and label are written only by _enter
     label: str = field(init=False)  # fsm_state of the trajectory log
@@ -93,6 +95,7 @@ class MissionState:
     leg: Optional[ImaginedTrajectory] = None  # flown while searching or reversing
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
     segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
+    landing_gains: Optional[ControllerGains] = None
 
     def climb_rate(self, cfg: SimConfig) -> float:
         """Vertical speed of the step after a tick that ends in this phase."""
@@ -291,10 +294,14 @@ def _on_miss(state: MissionState, world: WorldState, frame: Frame, watched: Colo
 
 
 def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
-    """Servo on the detected blob and take the phase change it earns."""
+    """Servo on the detected blob and take the phase change it earns; servoing
+    home and landing steer with state.landing_gains, building them once."""
     phase = state.phase
-    landing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
-    gains = replace(cfg.gains, hover_threshold=LAND_THRESHOLD_PX) if landing else cfg.gains
+    gains = cfg.gains
+    if phase is Phase.SERVOING_HOME or phase is Phase.LANDING:
+        if state.landing_gains is None:
+            state.landing_gains = replace(gains, hover_threshold=LAND_THRESHOLD_PX)
+        gains = state.landing_gains
     err, cmd = _command(det.center, gains, cfg.frame)
     if phase is Phase.SEARCHING:
         _enter(state, Phase.SERVOING, _COLOR_NAMES[det.color])

@@ -15,7 +15,8 @@ detect() of a color with no spot returns None without clipping a box.
 Otherwise it computes the count and centroid of isolated discs (no other
 drawn disc's box overlaps theirs) in closed form, from per-row span
 moments: one probe pass of the raster's own test settles a disc's
-sqrt-estimated row ends.  An overlap, or a disc that pass does not
+sqrt-estimated row ends.  A watched disc drawn alone goes straight to
+that closed form.  An overlap, or a disc that pass does not
 settle, is rasterised: the window around the watched color's discs, where
 the nearest-disc tie-break decides each pixel.
 """
@@ -260,6 +261,8 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     The color's discs are summed in closed form when no other drawn disc's
     box overlaps theirs and one probe pass settles each of them; otherwise
     only the box around them is rasterised, for the nearest-disc tie-break.
+    A frame whose only drawn disc is the watched one hands that disc to the
+    closed form at once: it has no overlap to test and no sums to add.
     """
     code = color._value_
     for spot in frame.spots:
@@ -268,19 +271,24 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     else:
         return None     # blind: no box is clipped
     discs = frame.discs
-    watched = [d for d in discs if d.code == code]
-    if not watched:
-        return None
-    overlapped = any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
-                     for w in watched for d in discs if d is not w)
-    moments = [] if overlapped else [_moments(d) for d in watched]
-    if overlapped or None in moments:
+    if len(discs) == 1 and discs[0].code == code:   # alone: no other box to overlap
+        watched = discs
+        moments = _moments(discs[0])
+    else:
+        watched = [d for d in discs if d.code == code]
+        if not watched:
+            return None
+        moments = None
+        if not any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
+                   for w in watched for d in discs if d is not w):
+            parts = [_moments(d) for d in watched]
+            if None not in parts:
+                moments = [sum(m) for m in zip(*parts)]
+    if moments is None:
         row0, row1 = min(d.row0 for d in watched), max(d.row1 for d in watched)
         col0, col1 = min(d.col0 for d in watched), max(d.col1 for d in watched)
-        region = _raster(discs, (row0, row1, col0, col1))
-        count, sum_rows, sum_cols = _label_moments(region, code, row0, col0)
-    else:
-        count, sum_rows, sum_cols = [sum(m) for m in zip(*moments)]
+        moments = _label_moments(_raster(discs, (row0, row1, col0, col1)), code, row0, col0)
+    count, sum_rows, sum_cols = moments
     if count == 0 or count < min_blob_size:
         return None
     # exact integer sums in frame coordinates, then a single division

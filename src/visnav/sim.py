@@ -13,9 +13,10 @@ seed it will draw from.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
+import re
+import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -244,10 +245,29 @@ class TrajectoryRow:
 TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))
 
 
+#: A row's cells, in TRAJECTORY_COLUMNS order, as the csv module writes
+#: them: floats by repr, text as is; ``%.0s`` turns an err_px of None into
+#: an empty cell.
+_ROW = "%s,%r,%r,%r,%r,%r,%r,%s,%s,%r\r\n"
+_ROW_NO_ERR = "%s,%r,%r,%r,%r,%r,%r,%s,%s,%.0s\r\n"
+
+#: A character for which csv.writer would quote a cell.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def write_trajectory_csv(rows: Sequence[TrajectoryRow], path: str | Path) -> None:
-    """Write rows with the canonical header.  csv writes a float as str, which
-    harness.load_trajectory reads back bit-exactly, and None as an empty cell."""
+    """Write rows with the canonical header, in the bytes csv.writer writes:
+    one %-format per row, a float as repr (which harness.load_trajectory
+    reads back bit-exactly), an err_px of None as an empty cell, \\r\\n line
+    ends.  Raises ValueError, before the file is opened, for an fsm_state or
+    detected_color label that csv.writer would quote (one holding ``,``,
+    ``"``, ``\\r`` or ``\\n``); each distinct label is checked once."""
+    for column in ("fsm_state", "detected_color"):
+        for label in set(map(operator.attrgetter(column), rows)):
+            if _NEEDS_QUOTES(label):
+                raise ValueError(f"trajectory {column} {reprlib.repr(label)} would need "
+                                 "CSV quoting")
+    cells = map(operator.attrgetter(*TRAJECTORY_COLUMNS), rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        writer.writerows(map(operator.attrgetter(*TRAJECTORY_COLUMNS), rows))
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        fh.writelines((_ROW_NO_ERR if t[-1] is None else _ROW) % t for t in cells)

@@ -287,6 +287,42 @@ def test_csv_cell_error_bounds_the_cell_it_echoes(tmp_path, capsys):
     assert err.startswith("error: results file line 2: trial ") and len(err.encode()) < 1024
 
 
+def test_stats_bounds_a_long_outcome_label_and_prints_run_labels_whole(tmp_path, capsys):
+    labels = ["success", "failed:timeout", "failed:search_exhausted",
+              "failed:return_exhausted", "failed:reversal_unavailable", "x" * 100_000]
+    path = tmp_path / "results.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_COLUMNS)
+        writer.writerows([i, i, label, 1.0, 10, 0.0, 0.0] for i, label in enumerate(labels))
+    assert main(["stats", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 1024
+    for label in labels[:-1]:
+        assert f"\noutcome {label}: 1\n" in out
+    assert f"\noutcome {'x' * 64}... (100000 characters): 1\n" in out
+
+
+@pytest.mark.parametrize("command, name, what, column, value", [
+    ("stats", "results.csv", "results", "outcome", "failed:timeout"),
+    ("spread", "trajectory_0.csv", "trajectory", "fsm_state", "failed:timeout")])
+def test_csv_header_naming_a_column_twice_exits_2(tmp_path, capsys, command, name, what,
+                                                   column, value):
+    # read as a dict, the later column would win and the run's own cells be lost
+    cfg = write_config(tmp_path, task="return",
+                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
+    with open(out / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(out / name, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0] + [column]] + [row + [value] for row in rows[1:]])
+    capsys.readouterr()
+    assert main([command, "--in", str(out / name)]) == 2
+    assert capsys.readouterr() == \
+        ("", f"error: {what} file header names column {column!r} twice\n")
+
+
 def test_config_error_bounds_the_value_it_echoes(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"task": "return", "markers": {"x": "a" * 2_000_000}}))

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +283,18 @@ def test_a_miss_in_servoing_home_restarts_the_landing_count():
         assert (state.phase, state.count) == (Phase.SERVOING_HOME, centred)
     fly()
     assert state.phase is Phase.LANDING
+
+
+def test_a_return_mission_builds_its_landing_gains_once():
+    sc = zero_noise_scenario("return")
+    world = sc.make_world(0)
+    with mock.patch.object(ControllerGains, "__post_init__", autospec=True,
+                           side_effect=ControllerGains.__post_init__) as built:
+        result = run(sc.spec, world, sc.cfg)
+    homing = [r for r in result.rows if r.fsm_state in ("servoing_home", "landing")
+              and r.detected_color == "blue"]
+    assert result.success and len(homing) > 1
+    assert built.call_count <= 1
 
 
 @pytest.mark.parametrize("dt, timeout", [(0.3, 1.8), (0.3, 0.9), (0.1, 0.3), (0.1, 0.7),
@@ -750,6 +763,9 @@ def test_the_readme_config_example_names_every_key():
     assert build_scenario(example).cfg.carrier_waypoints == ((1.0, 0.0),)
 
 
+#: What the FSM writes into a text cell: never a character csv would quote.
+LABEL = re.compile(r"[a-z0-9_:]*")
+
 #: Every outcome a mission can end with (README, "Mission state machine").
 OUTCOMES = {"success", "failed:timeout", "failed:search_exhausted",
             "failed:reversal_unavailable", "failed:return_exhausted"}
@@ -810,6 +826,7 @@ def test_mission_invariants_over_generated_scenarios(tmp_path_factory, config, s
 
     assert len(rows) == result.ticks <= sc.spec.timeout / sc.cfg.dt + 1
     assert audit_transitions([r.fsm_state for r in rows]) == []
+    assert all(LABEL.fullmatch(r.fsm_state) and LABEL.fullmatch(r.detected_color) for r in rows)
     assert result.outcome in OUTCOMES
     assert result.outcome == "success" or rows[-1].fsm_state == result.outcome
     if result.success and sc.spec.kind is MissionKind.SEARCH_RETURN_LAND:

@@ -325,6 +325,26 @@ def test_isolated_disc_moments_match_full_grid(scene):
     assert got == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
+                 st.lists(DISC, min_size=1, max_size=1)))
+def test_a_one_disc_frame_goes_straight_to_the_closed_form(scene):
+    # no overlap test, one _moments call, and a raster only when it does
+    # not settle the disc
+    drone, markers = _build(scene, DEFAULT)
+    frame = render(drone, markers, DEFAULT)
+    assume(frame.discs)
+    disc, = frame.discs
+    color = Color(disc.code)
+    with mock.patch.object(perception, "_moments", wraps=perception._moments) as moments, \
+            mock.patch.object(perception, "_raster", wraps=perception._raster) as raster, \
+            mock.patch.object(perception, "any", wraps=any, create=True) as overlap_tests:
+        got = detect(frame, color, 1)
+    assert (moments.call_count, overlap_tests.call_count) == (1, 0)
+    assert raster.call_count == (perception._moments(disc) is None)
+    assert got == detect_on_labels(frame.labels, color, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SCENES, st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.sampled_from(list(Color)))
 def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):

@@ -1,7 +1,9 @@
 """World stepping: kinematics, noise, carrier motion, capture, CSV logs."""
 
 import copy
+import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from visnav import (Color, ControllerGains, Duration, GroundedError, ImaginedSegment,
                     ImaginedTrajectory, Marker, NoiseModel, PixelPoint, Pose, SimConfig,
                     TrajectoryRow, VelocityCommand, capture, default_scenario, detect,
-                    fly_trajectory, make_world, run, step, write_trajectory_csv)
+                    fly_trajectory, make_world, run, sim, step, write_trajectory_csv)
 from visnav.harness import load_trajectory
+from visnav.sim import TRAJECTORY_COLUMNS
 
 ZERO_NOISE = SimConfig(noise=NoiseModel.zero())
 
@@ -343,3 +346,35 @@ def test_trajectory_csv_bytes_are_repr_per_field(tmp_path_factory, rows):
         lines.append(f"{r.step},{r.time_s!r},{r.drone_x!r},{r.drone_y!r},{r.drone_z!r},"
                      f"{r.vel_fwd!r},{r.vel_right!r},{r.fsm_state},{r.detected_color},{err}")
     assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=8) | st.sampled_from([",", '"', "\r", "\n", "a b", "\t"]),
+       st.sampled_from(["fsm_state", "detected_color"]))
+def test_a_label_csv_would_quote_is_refused_and_any_other_writes_csv_bytes(
+        tmp_path_factory, label, column):
+    # the csv module, the writer's reference, quotes a cell holding , " \r or \n
+    row = TrajectoryRow(3, 0.3, 0.1, -0.2, 1.0, 0.0, 0.01, "searching:0", "", None)
+    rows = [row, TrajectoryRow(*(label if c == column else getattr(row, c)
+                                 for c in TRAJECTORY_COLUMNS))]
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
+    if any(c in label for c in ',"\r\n'):
+        with pytest.raises(ValueError, match=f"^trajectory {column} .* would need CSV quoting"):
+            write_trajectory_csv(rows, path)
+        assert not path.exists()
+        return
+    write_trajectory_csv(rows, path)
+    with open(path.with_suffix(".ref"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_COLUMNS)
+        writer.writerows([getattr(r, c) for c in TRAJECTORY_COLUMNS] for r in rows)
+    assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+
+
+def test_the_quoting_check_runs_once_per_distinct_label(tmp_path):
+    rows = [TrajectoryRow(i, 0.1 * i, 0.0, 0.0, 1.0, 0.0, 0.0, f"searching:{i % 2}",
+                          "pink" if i % 3 else "", None) for i in range(60)]
+    with mock.patch.object(sim, "_NEEDS_QUOTES", wraps=sim._NEEDS_QUOTES) as check:
+        write_trajectory_csv(rows, tmp_path / "traj.csv")
+    assert sorted(c.args[0] for c in check.call_args_list) == \
+        ["", "pink", "searching:0", "searching:1"]
