@@ -11,19 +11,25 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import PixelPoint, _require_finite
 
 
-@dataclass(frozen=True)
-class PixelError:
-    """Signed pixel error, target minus current position."""
-
+class _PixelError(NamedTuple):
     error_x: float
     error_y: float
 
-    def __post_init__(self) -> None:
-        _require_finite("PixelError components", self.error_x, self.error_y)
+
+class PixelError(_PixelError):
+    """Signed pixel error, target minus current position."""
+
+    __slots__ = ()
+
+    def __new__(cls, error_x: float, error_y: float) -> PixelError:
+        if not (math.isfinite(error_x) and math.isfinite(error_y)):
+            _require_finite("PixelError components", error_x, error_y)
+        return tuple.__new__(cls, (error_x, error_y))
 
     def norm(self) -> float:
         return math.hypot(self.error_x, self.error_y)
@@ -60,8 +66,7 @@ class ControllerGains:
                              f"got {reprlib.repr(self.literal_axes)}")
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     """Planar body-frame velocity.  hovering implies both components are 0."""
 
     vel_forward: float

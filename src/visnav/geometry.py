@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class GroundedError(ValueError):
@@ -37,15 +38,20 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PixelPoint:
-    """A point in image coordinates.  May lie outside the frame bounds."""
-
+class _PixelPoint(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        _require_finite("PixelPoint coordinates", self.x, self.y)
+
+class PixelPoint(_PixelPoint):
+    """A point in image coordinates.  May lie outside the frame bounds."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> PixelPoint:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite("PixelPoint coordinates", x, y)
+        return tuple.__new__(cls, (x, y))
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,10 @@ class Pose:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("Pose fields", self.x, self.y, self.z, self.yaw)
+        isfinite = math.isfinite
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)
+                and isfinite(self.yaw)):
+            _require_finite("Pose fields", self.x, self.y, self.z, self.yaw)
         if self.z < 0:
             raise ValueError("altitude z must be >= 0")
 

@@ -178,8 +178,20 @@ def write_results_csv(records: Sequence[TrialRecord], path: str | Path) -> None:
                              r.ticks, r.final_pose.x, r.final_pose.y])
 
 
+def _number(text: str) -> str:
+    """``text``, unless int() and float() would read it only leniently: with
+    a digit separator, padding or a non-ASCII digit."""
+    if "_" in text or text != text.strip() or not text.isascii():
+        raise ValueError
+    return text
+
+
+def _int(text: str) -> int:
+    return int(_number(text))
+
+
 def _finite(text: str) -> float:
-    value = float(text)
+    value = float(_number(text))
     if not math.isfinite(value):
         raise ValueError
     return value
@@ -189,15 +201,23 @@ def _finite_or_empty(text: str) -> Optional[float]:
     return _finite(text) if text else None
 
 
-#: What a typed CSV cell must hold, by its parser.
-_EXPECTED = {int: "an integer", _finite: "a finite number",
-             _finite_or_empty: "empty or a finite number"}
+def _printable(text: str) -> str:
+    """``text``, unless printing it could forge a line: a line break or another
+    control character."""
+    if not text.isprintable():
+        raise ValueError
+    return text
 
-#: The parser of each typed column of a file; the other columns are text.
-_RESULTS_PARSERS = {"trial": int, "seed": int, "ticks": int, "elapsed_s": _finite,
-                    "final_x": _finite, "final_y": _finite}
+
+#: What a checked CSV cell must hold, by its parser.
+_EXPECTED = {_int: "an integer", _finite: "a finite number",
+             _finite_or_empty: "empty or a finite number", _printable: "printable text"}
+
+#: The parser of each checked column of a file; the other columns are text.
+_RESULTS_PARSERS = {"trial": _int, "seed": _int, "outcome": _printable, "ticks": _int,
+                    "elapsed_s": _finite, "final_x": _finite, "final_y": _finite}
 _TRAJECTORY_PARSERS = {
-    "step": int, "err_px": _finite_or_empty,
+    "step": _int, "err_px": _finite_or_empty,
     **dict.fromkeys(("time_s", "drone_x", "drone_y", "drone_z", "vel_fwd", "vel_right"), _finite)}
 
 
@@ -207,9 +227,10 @@ def _read_csv(path: str | Path, columns: Sequence[str],
     column in ``parsers`` (all of them among ``columns``) parsed once;
     raises MalformedLogError when the header names a column twice or lacks
     any of ``columns``, a row has more or fewer fields than the header
-    (blank lines are skipped), a typed cell does not parse, holds an
-    underscore or a non-ASCII character or is padded with whitespace, the
-    file is not UTF-8, or the csv module rejects a line."""
+    (blank lines are skipped), a numeric cell does not parse, holds an
+    underscore or a non-ASCII character or is padded with whitespace, a text
+    cell in ``parsers`` is not printable, the file is not UTF-8, or the csv
+    module rejects a line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -233,9 +254,6 @@ def _read_csv(path: str | Path, columns: Sequence[str],
                 for name, parse in parsers.items():
                     cell = row[name]
                     try:
-                        # int() and float() also take digit separators, padding, non-ASCII digits
-                        if "_" in cell or cell != cell.strip() or not cell.isascii():
-                            raise ValueError
                         row[name] = parse(cell)
                     except ValueError:
                         raise MalformedLogError(
@@ -253,7 +271,8 @@ def read_results_csv(path: str | Path) -> list[dict]:
     """Rows of a results.csv as dicts: trial, seed and ticks as ints, the
     other numbers as finite floats.  Raises MalformedLogError when the
     header names a column twice or lacks a required one, a row's field
-    count differs from it or a number does not parse."""
+    count differs from it, a number does not parse or an outcome is not
+    printable (a line break in it would print a forged `visnav stats` line)."""
     return _read_csv(path, RESULTS_COLUMNS, _RESULTS_PARSERS, "results")
 
 

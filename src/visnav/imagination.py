@@ -16,7 +16,7 @@ so a noise-free replay negates the outbound displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .control import VelocityCommand
 from .geometry import FrameSpec, PixelPoint
@@ -67,17 +67,21 @@ class Distance:
 Termination = Union[MarkerDetected, Duration, Distance]
 
 
-@dataclass(frozen=True)
-class ImaginedSegment:
+class _ImaginedSegment(NamedTuple):
     target: PixelPoint
     terminate_on: Termination
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.target, PixelPoint):
-            raise TypeError(f"target must be a PixelPoint, got {self.target!r}")
-        if not isinstance(self.terminate_on, (MarkerDetected, Duration, Distance)):
+
+class ImaginedSegment(_ImaginedSegment):
+    __slots__ = ()
+
+    def __new__(cls, target: PixelPoint, terminate_on: Termination) -> ImaginedSegment:
+        if not isinstance(target, PixelPoint):
+            raise TypeError(f"target must be a PixelPoint, got {target!r}")
+        if not isinstance(terminate_on, (MarkerDetected, Duration, Distance)):
             raise TypeError("terminate_on must be MarkerDetected, Duration or Distance, "
-                            f"got {self.terminate_on!r}")
+                            f"got {terminate_on!r}")
+        return tuple.__new__(cls, (target, terminate_on))
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,7 @@ class ImaginedTrajectory:
         return tuple(s.target for s in self.segments)
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One stretch of commanded motion: when, what was commanded, for how
     long, and which target produced the command."""
 

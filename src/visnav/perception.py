@@ -155,9 +155,9 @@ def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
     np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
     probes = (ends + _PROBES - center) ** 2 + dy2 <= r2
     outer, inner = probes[0], probes[1]
-    # the box-edge mask is built only when some outer probe is covered,
-    # which most discs never have
-    if not inner.all() or (outer.any() and (outer & (ends < edge)).any()):
+    # settled at once when every inner probe is covered and no outer one is;
+    # the box-edge mask is built only when that fails, which most discs never do
+    if not (inner > outer).all() and (not inner.all() or (outer & (ends < edge)).any()):
         return None
     n = ends[0] + ends[1] + 1.0
     sums = ends @ n     # (-sum of first columns, sum of last columns)
@@ -192,8 +192,7 @@ class Frame(NamedTuple):
         return _raster(self.discs, (0, self.spec.height, 0, self.spec.width))
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """A detected blob: its color class, pixel centroid and size."""
 
     color: Color

@@ -303,6 +303,23 @@ def test_stats_bounds_a_long_outcome_label_and_prints_run_labels_whole(tmp_path,
     assert f"\noutcome {'x' * 64}... (100000 characters): 1\n" in out
 
 
+@pytest.mark.parametrize("label, line", [
+    ("failed:x\nsuccess_count: 99", 3),   # the line csv has read to when the row ends
+    ("failed:x\rsuccess_count: 99", 3),
+    ("failed:\x1b[2Ktimeout", 2),         # an escape that erases the printed line
+    ("failed:x\u2028success", 2)])         # a Unicode line separator
+def test_stats_rejects_an_outcome_that_would_print_a_forged_line(tmp_path, capsys, label,
+                                                                 line):
+    path = tmp_path / "results.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_COLUMNS)
+        writer.writerow([0, 0, label, 1.0, 10, 0.0, 0.0])
+    assert main(["stats", "--in", str(path)]) == 2
+    assert capsys.readouterr() == \
+        ("", f"error: results file line {line}: outcome {label!r} is not printable text\n")
+
+
 @pytest.mark.parametrize("command, name, what, column, value", [
     ("stats", "results.csv", "results", "outcome", "failed:timeout"),
     ("spread", "trajectory_0.csv", "trajectory", "fsm_state", "failed:timeout")])

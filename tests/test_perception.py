@@ -428,6 +428,26 @@ def test_disc_moments_match_its_raster(disc):
     assert detect(frame, Color.PINK, 1) == detect_on_labels(frame.labels, Color.PINK, 1)
 
 
+@pytest.mark.parametrize("disc", [
+    (32.0, 24.0, 40.0),     # covers the frame: every row runs past both box edges
+    (0.25, 24.5, 10.0),     # cut by the left edge
+    (63.5, 47.75, 12.5),    # cut by the right and bottom edges
+])
+def test_a_disc_cut_by_the_frame_settles_with_an_outer_probe_covered(disc):
+    # the column past a cut edge is inside the disc, so its outer probe is
+    # covered and the quick all-inner-none-outer test fails; the probe lies
+    # at the box edge, so the fallback test still settles the disc
+    x, y, radius = disc
+    d, = Frame(SMALL, ((Color.PINK.value, x, y, radius),)).discs
+    row = round(y) if d.row0 <= round(y) < d.row1 else d.row1 - 1
+    assert (d.col0 - 1 - x) ** 2 + (row - y) ** 2 <= radius ** 2 or \
+        (d.col1 - x) ** 2 + (row - y) ** 2 <= radius ** 2
+    region = perception._raster((d,), (d.row0, d.row1, d.col0, d.col1))
+    moments = perception._moments(d)
+    assert moments is not None
+    assert moments == perception._label_moments(region, d.code, d.row0, d.col0)
+
+
 def test_one_probe_pass_settles_almost_every_disc_the_missions_watch():
     # the closed form earns its place only while it nearly always answers:
     # each disc it leaves unsettled costs detect a raster window instead

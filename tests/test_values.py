@@ -1,0 +1,146 @@
+"""The per-tick value types are named tuples: checked as strictly as before,
+and they unpack, compare, hash, pickle and copy as tuples of their fields."""
+
+import copy
+import math
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import visnav
+from visnav import (Color, Detection, Distance, Duration, ImaginedSegment, LogEntry,
+                    MarkerDetected, PixelError, PixelPoint, VelocityCommand)
+
+#: Numbers and things that are not: non-finite floats, ints too large for a
+#: float, and values of other types.
+ANY = (st.floats() | st.integers(-10**400, 10**400) | st.booleans() | st.none()
+       | st.text(max_size=3) | st.tuples(st.floats()))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def finite_check_error(name, values):
+    """(exception type, message) of the finite check on ``values``: the first
+    that math.isfinite rejects, or the first that is not finite; None when
+    all pass."""
+    for v in values:
+        try:
+            finite = math.isfinite(v)
+        except (TypeError, OverflowError) as exc:
+            return type(exc), str(exc)
+        if not finite:
+            return ValueError, f"{name} must be finite, got {v!r}"
+    return None
+
+
+def raised(build, *args):
+    try:
+        build(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(ANY, ANY)
+def test_pixel_point_checks_each_coordinate_in_order(x, y):
+    assert raised(PixelPoint, x, y) == finite_check_error("PixelPoint coordinates", (x, y))
+
+
+@settings(max_examples=300)
+@given(ANY, ANY)
+def test_pixel_error_checks_each_component_in_order(ex, ey):
+    assert raised(PixelError, ex, ey) == finite_check_error("PixelError components", (ex, ey))
+
+
+RULES = st.sampled_from([Duration(1.0), Distance(0.5), MarkerDetected(Color.PINK)])
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.builds(PixelPoint, FINITE, FINITE), st.tuples(FINITE, FINITE), ANY),
+       st.one_of(RULES, ANY, st.sampled_from([Color.PINK, 1.0, (1.0,)])))
+def test_imagined_segment_checks_target_then_rule(target, rule):
+    # a plain (x, y) tuple equals a PixelPoint of the same values, and is
+    # still not one
+    if not isinstance(target, PixelPoint):
+        want = TypeError, f"target must be a PixelPoint, got {target!r}"
+    elif not isinstance(rule, (Duration, Distance, MarkerDetected)):
+        want = TypeError, \
+            f"terminate_on must be MarkerDetected, Duration or Distance, got {rule!r}"
+    else:
+        want = None
+    assert raised(ImaginedSegment, target, rule) == want
+
+
+@given(FINITE, FINITE, st.booleans())
+def test_velocity_command_keeps_its_fields_default_and_speed(fwd, right, hovering):
+    cmd = VelocityCommand(fwd, right, hovering)
+    assert (cmd.vel_forward, cmd.vel_right, cmd.hovering) == (fwd, right, hovering)
+    assert VelocityCommand(fwd, right).hovering is False
+    assert cmd.speed() == math.hypot(fwd, right)
+    assert repr(cmd) == \
+        f"VelocityCommand(vel_forward={fwd!r}, vel_right={right!r}, hovering={hovering!r})"
+
+
+@given(st.sampled_from(list(Color)), FINITE, FINITE, st.integers(0, 10**6))
+def test_detection_keeps_its_fields(color, x, y, count):
+    det = Detection(color, PixelPoint(x, y), count)
+    assert (det.color, det.center, det.pixel_count) == (color, PixelPoint(x, y), count)
+    assert repr(det) == f"Detection(color={color!r}, center=PixelPoint(x={x!r}, y={y!r}), " \
+                        f"pixel_count={count!r})"
+
+
+@given(FINITE, FINITE, FINITE, FINITE)
+def test_log_entry_keeps_its_fields(t, fwd, duration, x):
+    entry = LogEntry(t, VelocityCommand(fwd, 0.0), duration, PixelPoint(x, 0.0))
+    assert (entry.timestamp, entry.command, entry.duration, entry.target) == \
+        (t, VelocityCommand(fwd, 0.0), duration, PixelPoint(x, 0.0))
+
+
+VALUES = [
+    PixelPoint(320.0, -80.5),
+    PixelError(1.5, -2.0),
+    VelocityCommand(0.05, -0.01),
+    VelocityCommand(0.0, 0.0, True),
+    Detection(Color.BLUE, PixelPoint(10.25, 3.0), 57),
+    LogEntry(0.3, VelocityCommand(0.05, 0.0), 1.2, PixelPoint(320.0, 80.0)),
+    ImaginedSegment(PixelPoint(420.0, 180.0), Duration(3.0)),
+    ImaginedSegment(PixelPoint(320.0, 80.0), MarkerDetected(Color.PINK)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("round_trip", [
+    *(lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.deepcopy, copy.copy])
+def test_pickle_and_copy_keep_type_and_value(value, round_trip):
+    back = round_trip(value)
+    assert type(back) is type(value) and back == value
+    assert type(back[-1]) is type(value[-1])
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_values_are_immutable_tuples_of_their_fields(value):
+    assert isinstance(value, tuple) and tuple(value) == tuple(getattr(value, name)
+                                                             for name in value._fields)
+    assert hash(value) == hash(tuple(value))
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_no_source_builds_a_value_around_its_checks():
+    # a named tuple's _make and _replace skip __new__, so they skip the
+    # finite and type checks of PixelPoint, PixelError and ImaginedSegment
+    src = Path(visnav.__file__).parent
+    calls = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\._(make|replace)\(", line)]
+    assert calls == []
