@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .geometry import PixelPoint, _require_finite
+from .geometry import PixelPoint, _checked_make, _require_finite
 
 
 class _PixelError(NamedTuple):
@@ -25,6 +25,7 @@ class PixelError(_PixelError):
     """Signed pixel error, target minus current position."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, error_x: float, error_y: float) -> PixelError:
         if not (math.isfinite(error_x) and math.isfinite(error_y)):
@@ -86,16 +87,18 @@ def pixel_error(target: PixelPoint, current: PixelPoint) -> PixelError:
     return PixelError(target.x - current.x, target.y - current.y)
 
 
-def compute_command(err: PixelError, gains: ControllerGains) -> VelocityCommand:
+def compute_command(err: PixelError, gains: ControllerGains,
+                    norm: Optional[float] = None) -> VelocityCommand:
     """Proportional velocity command for a pixel error.
 
-    Hover (exact zero output) when the Euclidean error norm is within
+    Hover (exact zero output) when the Euclidean error norm (``norm``, or
+    err.norm() when the caller has not computed it) is within
     gains.hover_threshold.  Otherwise vel_forward = -k * error_y and
     vel_right = k * error_x (image y grows downward while body forward is
     "up" in the image, hence the negation), scaled down if the speed would
     exceed gains.max_speed.
     """
-    if err.norm() <= gains.hover_threshold:
+    if (err.norm() if norm is None else norm) <= gains.hover_threshold:
         return VelocityCommand(0.0, 0.0, True)
     vel_forward = gains.k * err.error_y if gains.literal_axes else -gains.k * err.error_y
     vel_right = gains.k * err.error_x

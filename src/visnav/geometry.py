@@ -38,6 +38,12 @@ def _require_finite(name: str, *values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _checked_make(cls, iterable):
+    """A checked named tuple's _make, and so its _replace: the constructor,
+    checks and all, where the stock one skips them."""
+    return cls(*iterable)
+
+
 class _PixelPoint(NamedTuple):
     x: float
     y: float
@@ -47,6 +53,7 @@ class PixelPoint(_PixelPoint):
     """A point in image coordinates.  May lie outside the frame bounds."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, x: float, y: float) -> PixelPoint:
         if not (math.isfinite(x) and math.isfinite(y)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .control import VelocityCommand
-from .geometry import FrameSpec, PixelPoint
+from .geometry import FrameSpec, PixelPoint, _checked_make
 from .perception import Color
 
 #: Standard offset of imagined targets from the image center, in pixels.
@@ -74,6 +74,7 @@ class _ImaginedSegment(NamedTuple):
 
 class ImaginedSegment(_ImaginedSegment):
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, target: PixelPoint, terminate_on: Termination) -> ImaginedSegment:
         if not isinstance(target, PixelPoint):

@@ -95,6 +95,7 @@ class MissionState:
     leg: Optional[ImaginedTrajectory] = None  # flown while searching or reversing
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
     segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
+    segment_ticks: float = math.inf  # a Duration segment's length; inf for other rules
     landing_gains: Optional[ControllerGains] = None
 
     def climb_rate(self, cfg: SimConfig) -> float:
@@ -145,9 +146,11 @@ def _fail(state: MissionState, reason: str) -> _Action:
 
 def _command(target: PixelPoint, gains: ControllerGains,
              frame: FrameSpec) -> tuple[float, VelocityCommand]:
-    """(error norm, command) of a proportional step towards ``target``."""
+    """(error norm, command) of a proportional step towards ``target``: the
+    one norm compute_command's hover test reads."""
     err = pixel_error(target, frame.center)
-    return err.norm(), compute_command(err, gains)
+    norm = err.norm()
+    return norm, compute_command(err, gains, norm)
 
 
 def _duration_ticks(rule: Duration, dt: float) -> float:
@@ -162,11 +165,15 @@ def _enter_segment(state: MissionState, phase: Phase, index: int, world: WorldSt
                    cfg: SimConfig) -> None:
     """Start segment ``index`` of the leg, searching or reversing, from the
     current pose.  An imagined target keeps its offset from the frame
-    center, so the segment's error norm and command are fixed here."""
+    center, so the segment's error norm and command are fixed here, and
+    so is a Duration segment's tick count."""
     _enter(state, phase, index)
+    seg = state.leg.segments[index]
     state.segment_index = index
     state.segment_start_xy = (world.drone.x, world.drone.y)
-    state.segment_command = _command(state.leg.segments[index].target, cfg.gains, cfg.frame)
+    state.segment_command = _command(seg.target, cfg.gains, cfg.frame)
+    rule = seg.terminate_on
+    state.segment_ticks = _duration_ticks(rule, cfg.dt) if isinstance(rule, Duration) else math.inf
 
 
 def _fly(state: MissionState) -> _Action:
@@ -185,7 +192,7 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
         return rule.color is not absent and \
             detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
-        return state.count >= _duration_ticks(rule, cfg.dt)
+        return state.count >= state.segment_ticks
     sx, sy = state.segment_start_xy  # a Distance: ImaginedSegment admits no other rule
     moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
     return moved >= rule.meters - 1e-12
@@ -391,7 +398,7 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
         ticks.append(n)
     log = MotionLog()
     for seg, n_steps in zip(traj.segments, ticks):
-        _, cmd = _command(seg.target, cfg.gains, cfg.frame)
+        cmd = compute_command(pixel_error(seg.target, cfg.frame.center), cfg.gains)
         start_time = world.time
         step(world, cmd, cfg, ticks=n_steps)
         log.append(start_time, cmd, n_steps * cfg.dt, seg.target)

@@ -12,13 +12,14 @@ projects, checks and culls every marker at once and keeps each survivor
 as a plain (code, x, y, radius) spot.  Frame.discs clips the spots' boxes
 and Frame.labels draws the whole grid, on every read, storing nothing.
 detect() of a color with no spot returns None without clipping a box.
-Otherwise it computes the count and centroid of isolated discs (no other
-drawn disc's box overlaps theirs) in closed form, from per-row span
-moments: one probe pass of the raster's own test settles a disc's
-sqrt-estimated row ends.  A watched disc drawn alone goes straight to
-that closed form.  An overlap, or a disc that pass does not
-settle, is rasterised: the window around the watched color's discs, where
-the nearest-disc tie-break decides each pixel.
+Otherwise it clips that color's spots alone and tests each one's real
+span [x - r, x + r] x [y - r, y + r] against every other spot's.  A disc
+whose span meets no other is isolated: its count and centroid come in
+closed form, from per-row span moments, where one probe pass of the
+raster's own test settles the sqrt-estimated row ends.  A span that meets
+another, or a disc that pass does not settle, is rasterised with all of
+Frame.discs: the window around the watched color's discs, where the
+nearest-disc tie-break decides each pixel.
 """
 
 from __future__ import annotations
@@ -164,6 +165,22 @@ def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
     return int(n.sum()), int(rows @ n), int(sums[1] - sums[0]) // 2
 
 
+def _clip(spots: Sequence[tuple[int, float, float, float]], spec: FrameSpec) -> list[_Disc]:
+    """The _Disc of each (code, x, y, radius) spot, in order, dropping a spot
+    whose box clipped to the frame is empty: Frame.discs' rule and detect's."""
+    w, h = spec.width, spec.height
+    ceil, floor = math.ceil, math.floor
+    discs = []
+    for code, x, y, r in spots:
+        col0, col1 = ceil(x - r), floor(x + r) + 1
+        row0, row1 = ceil(y - r), floor(y + r) + 1
+        col0, row0 = (col0 if col0 > 0 else 0), (row0 if row0 > 0 else 0)   # max() costs more
+        col1, row1 = (col1 if col1 < w else w), (row1 if row1 < h else h)
+        if col0 < col1 and row0 < row1:
+            discs.append(_Disc(code, x, y, r, row0, row1, col0, col1))
+    return discs
+
+
 class Frame(NamedTuple):
     """What render() drew: the (code, x, y, radius) spots it kept, in
     marker order.  ``discs`` clips their boxes, dropping a spot whose
@@ -175,17 +192,7 @@ class Frame(NamedTuple):
 
     @property
     def discs(self) -> tuple[_Disc, ...]:
-        w, h = self.spec.width, self.spec.height
-        ceil, floor = math.ceil, math.floor
-        discs = []
-        for code, x, y, r in self.spots:
-            col0 = max(0, ceil(x - r))
-            col1 = min(w, floor(x + r) + 1)
-            row0 = max(0, ceil(y - r))
-            row1 = min(h, floor(y + r) + 1)
-            if col0 < col1 and row0 < row1:
-                discs.append(_Disc(code, x, y, r, row0, row1, col0, col1))
-        return tuple(discs)
+        return tuple(_clip(self.spots, self.spec))
 
     @property
     def labels(self) -> np.ndarray:
@@ -257,37 +264,39 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     from exact integer sums), so two same-colored blobs yield the centroid
     of their union.  None signals absence, not failure: a color with no
     spot in the frame returns None at once, before any box is clipped.
-    The color's discs are summed in closed form when no other drawn disc's
-    box overlaps theirs and one probe pass settles each of them; otherwise
-    only the box around them is rasterised, for the nearest-disc tie-break.
-    A frame whose only drawn disc is the watched one hands that disc to the
-    closed form at once: it has no overlap to test and no sums to add.
+    Only the color's own spots are clipped.  Their discs are summed in
+    closed form when no other spot's span meets theirs (a box spans the
+    ceil and floor of its span, so no other box overlaps) and one probe
+    pass settles each of them; otherwise only the box around them is
+    rasterised, with every drawn disc, for the nearest-disc tie-break.
     """
     code = color._value_
-    for spot in frame.spots:
-        if spot[0] == code:
-            break
-    else:
+    spec, spots = frame
+    mine = [spot for spot in spots if spot[0] == code]
+    if not mine:
         return None     # blind: no box is clipped
-    discs = frame.discs
-    if len(discs) == 1 and discs[0].code == code:   # alone: no other box to overlap
-        watched = discs
-        moments = _moments(discs[0])
-    else:
-        watched = [d for d in discs if d.code == code]
-        if not watched:
-            return None
-        moments = None
-        if not any(w.row0 < d.row1 and d.row0 < w.row1 and w.col0 < d.col1 and d.col0 < w.col1
-                   for w in watched for d in discs if d is not w):
-            parts = [_moments(d) for d in watched]
-            if None not in parts:
-                moments = [sum(m) for m in zip(*parts)]
-    if moments is None:
+    watched = _clip(mine, spec)
+    if not watched:
+        return None
+    count = sum_rows = sum_cols = 0
+    for disc in watched:
+        # a box spans ceil(x - r) .. floor(x + r), so a span that meets no
+        # spot's but its own proves the box clear of every other box
+        _, x, y, r, _, _, _, _ = disc
+        x0, x1, y0, y1 = x - r, x + r, y - r, y + r
+        met = 0
+        for _, u, v, s in spots:
+            met += u - s <= x1 and x0 <= u + s and v - s <= y1 and y0 <= v + s
+        moments = _moments(disc) if met == 1 else None
+        if moments is None:
+            break
+        n, rows, cols = moments
+        count, sum_rows, sum_cols = count + n, sum_rows + rows, sum_cols + cols
+    if moments is None:     # an overlap or an unsettled disc: draw the window
         row0, row1 = min(d.row0 for d in watched), max(d.row1 for d in watched)
         col0, col1 = min(d.col0 for d in watched), max(d.col1 for d in watched)
-        moments = _label_moments(_raster(discs, (row0, row1, col0, col1)), code, row0, col0)
-    count, sum_rows, sum_cols = moments
+        region = _raster(frame.discs, (row0, row1, col0, col1))
+        count, sum_rows, sum_cols = _label_moments(region, code, row0, col0)
     if count == 0 or count < min_blob_size:
         return None
     # exact integer sums in frame coordinates, then a single division

@@ -1,5 +1,6 @@
 """Rendering and blob detection over synthetic label frames."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -261,7 +262,9 @@ def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
 
 def test_render_and_a_blind_detect_clip_no_disc():
     # a green detect sees no green spot; the yellow spot's clipped box is
-    # empty (a third of a pixel wide, centered between two columns)
+    # empty (a third of a pixel wide, centered between two columns), which
+    # a yellow detect finds by clipping that box alone; the yellow span
+    # meets the pink one, so a pink detect reads the discs to draw them
     markers = [Marker((0.0, 0.0), 0.1, Color.PINK), Marker((0.1, 0.3), 0.05, Color.BLUE),
                Marker((0.0, -0.5 / 320), 0.001, Color.YELLOW)]
     clip, reads = Frame.discs.fget, []
@@ -273,8 +276,9 @@ def test_render_and_a_blind_detect_clip_no_disc():
         assert detect(frame, Color.GREEN) is None
         assert len(reads) == 0
         assert detect(frame, Color.YELLOW, 1) is None
+        assert len(reads) == 0
         assert detect(frame, Color.PINK) is not None
-        assert len(reads) == 2
+        assert len(reads) == 1
     assert [d.code for d in frame.discs] == [Color.PINK.value, Color.BLUE.value]
 
 
@@ -325,24 +329,90 @@ def test_isolated_disc_moments_match_full_grid(scene):
     assert got == want
 
 
+@contextlib.contextmanager
+def _counting():
+    """Record, while open, each _Disc clipped, each read of Frame.discs, and
+    the _moments and _raster calls."""
+    clipped, reads, disc, clip = [], [], perception._Disc, Frame.discs.fget
+    with mock.patch.object(perception, "_Disc", lambda *f: clipped.append(disc(*f)) or clipped[-1]), \
+            mock.patch.object(Frame, "discs", property(lambda f: reads.append(f) or clip(f))), \
+            mock.patch.object(perception, "_moments", wraps=perception._moments) as moments, \
+            mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
+        yield clipped, reads, moments, raster
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
                  st.lists(DISC, min_size=1, max_size=1)))
 def test_a_one_disc_frame_goes_straight_to_the_closed_form(scene):
-    # no overlap test, one _moments call, and a raster only when it does
-    # not settle the disc
+    # one _moments call on the one box clipped, and a raster, which reads
+    # the frame's discs, only when _moments does not settle the disc
     drone, markers = _build(scene, DEFAULT)
     frame = render(drone, markers, DEFAULT)
     assume(frame.discs)
     disc, = frame.discs
     color = Color(disc.code)
-    with mock.patch.object(perception, "_moments", wraps=perception._moments) as moments, \
-            mock.patch.object(perception, "_raster", wraps=perception._raster) as raster, \
-            mock.patch.object(perception, "any", wraps=any, create=True) as overlap_tests:
+    with _counting() as (clipped, reads, moments, raster):
         got = detect(frame, color, 1)
-    assert (moments.call_count, overlap_tests.call_count) == (1, 0)
-    assert raster.call_count == (perception._moments(disc) is None)
+    unsettled = perception._moments(disc) is None
+    assert moments.call_count == 1 and raster.call_count == len(reads) == unsettled
+    assert clipped[:1] == [disc] and len(clipped) == 1 + unsettled
     assert got == detect_on_labels(frame.labels, color, 1)
+
+
+def _spans_meet(a, b):
+    """Whether two (code, x, y, radius) spots' real spans meet."""
+    (_, x, y, r), (_, u, v, s) = a, b
+    return u - s <= x + r and x - r <= u + s and v - s <= y + r and y - r <= v + s
+
+
+# Scenes of 2-6 small discs, which often keep clear of each other.
+SPARSE = st.tuples(st.floats(0.3, 2.0), st.floats(-math.pi, math.pi),
+                   st.lists(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3),
+                                      st.floats(0.02, 0.3), st.sampled_from(list(Color)),
+                                      st.sampled_from([0.0, 0.0, 0.4])),
+                            min_size=2, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE)
+def test_a_hit_clear_of_other_spans_clips_only_the_watched_boxes(scene):
+    # when no other spot's span meets a watched one, a settled hit clips
+    # exactly the watched boxes and never reads the frame's discs
+    drone, markers = _build(scene, DEFAULT)
+    frame = render(drone, markers, DEFAULT)
+    spots = frame.spots
+    for color in Color:
+        mine = [i for i, spot in enumerate(spots) if spot[0] == color.value]
+        if not mine or any(_spans_meet(spots[i], spot) for i in mine
+                           for j, spot in enumerate(spots) if j != i):
+            continue
+        want = [d for d in frame.discs if d.code == color.value]
+        with _counting() as (clipped, reads, moments, raster):
+            got = detect(frame, color, 1)
+        assert got == detect_on_labels(frame.labels, color, 1)
+        assert raster.call_count == len(reads) <= 1
+        if not reads:
+            assert clipped == want and moments.call_count == len(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCENES)
+def test_a_watched_box_that_overlaps_another_is_rasterised(scene):
+    # per color: when one of its clipped boxes overlaps any other clipped
+    # box, its detect draws the window, and it equals the full grid
+    drone, markers = _build(scene, DEFAULT)
+    frame = render(drone, markers, DEFAULT)
+    boxes = [(d.code, (d.row0, d.row1, d.col0, d.col1)) for d in frame.discs]
+    for color in Color:
+        overlap = any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+                      for i, (code, a) in enumerate(boxes) if code == color.value
+                      for j, (_, b) in enumerate(boxes) if j != i)
+        with mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
+            got = detect(frame, color, 1)
+        assert got == detect_on_labels(frame.labels, color, 1)
+        if overlap:
+            assert raster.call_count == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,6 +431,17 @@ def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):
     if any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
            for i, a in enumerate(boxes) for b in boxes[i + 1:]):
         assert raster_calls > 0
+
+
+@pytest.mark.parametrize("blue_x, rasters", [(119.75, 4), (math.nextafter(119.75, 121.0), 0)])
+def test_spans_that_touch_are_rasterised(blue_x, rasters):
+    # the spans meet at column 110, where both discs cover pixel (110, 100)
+    # and the tie-break gives it to pink; one ulp further apart, the blue
+    # box starts at column 111 and both discs take the closed form
+    frame = Frame(DEFAULT, ((Color.PINK.value, 100.25, 100.0, 9.75),
+                            (Color.BLUE.value, blue_x, 100.0, 9.75)))
+    got, want, raster_calls = _detect_all(frame)
+    assert got == want and raster_calls == rasters
 
 
 @settings(max_examples=100, deadline=None)

@@ -75,6 +75,38 @@ def test_imagined_segment_checks_target_then_rule(target, rule):
     assert raised(ImaginedSegment, target, rule) == want
 
 
+@settings(max_examples=300)
+@given(st.sampled_from([PixelPoint(320.0, 80.0), PixelError(1.5, -2.0)]), ANY, ANY,
+       st.sampled_from([(0,), (1,), (0, 1)]))
+def test_make_and_replace_run_the_constructor_checks(value, a, b, replaced):
+    # _make, and _replace of one field or both, raise what the constructor
+    # raises; a valid _replace keeps the type and takes the new values
+    cls = type(value)
+    new = [(a, b)[i] if i in replaced else value[i] for i in range(2)]
+    want = raised(cls, *new)
+    assert raised(cls._make, new) == want
+    changes = {cls._fields[i]: (a, b)[i] for i in replaced}
+    assert raised(lambda: value._replace(**changes)) == want
+    if want is None:
+        back = value._replace(**changes)
+        assert type(back) is cls and back == cls(*new)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.builds(PixelPoint, FINITE, FINITE), st.tuples(FINITE, FINITE), ANY),
+       st.one_of(RULES, ANY))
+def test_imagined_segment_make_and_replace_run_the_constructor_checks(target, rule):
+    value = ImaginedSegment(PixelPoint(320.0, 80.0), Duration(1.0))
+    want = raised(ImaginedSegment, target, rule)
+    assert raised(ImaginedSegment._make, (target, rule)) == want
+    assert raised(lambda: value._replace(target=target, terminate_on=rule)) == want
+    assert raised(lambda: value._replace(target=target)) == \
+        raised(ImaginedSegment, target, value.terminate_on)
+    if want is None:
+        back = value._replace(target=target, terminate_on=rule)
+        assert type(back) is ImaginedSegment and back == (target, rule)
+
+
 @given(FINITE, FINITE, st.booleans())
 def test_velocity_command_keeps_its_fields_default_and_speed(fwd, right, hovering):
     cmd = VelocityCommand(fwd, right, hovering)
