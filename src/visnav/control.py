@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .geometry import PixelPoint, _checked_make, _require_finite
 
@@ -87,18 +87,16 @@ def pixel_error(target: PixelPoint, current: PixelPoint) -> PixelError:
     return PixelError(target.x - current.x, target.y - current.y)
 
 
-def compute_command(err: PixelError, gains: ControllerGains,
-                    norm: Optional[float] = None) -> VelocityCommand:
+def compute_command(err: PixelError, gains: ControllerGains) -> VelocityCommand:
     """Proportional velocity command for a pixel error.
 
-    Hover (exact zero output) when the Euclidean error norm (``norm``, or
-    err.norm() when the caller has not computed it) is within
+    Hover (exact zero output) when the Euclidean error norm is within
     gains.hover_threshold.  Otherwise vel_forward = -k * error_y and
     vel_right = k * error_x (image y grows downward while body forward is
     "up" in the image, hence the negation), scaled down if the speed would
     exceed gains.max_speed.
     """
-    if (err.norm() if norm is None else norm) <= gains.hover_threshold:
+    if err.norm() <= gains.hover_threshold:
         return VelocityCommand(0.0, 0.0, True)
     vel_forward = gains.k * err.error_y if gains.literal_axes else -gains.k * err.error_y
     vel_right = gains.k * err.error_x

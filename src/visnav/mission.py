@@ -95,7 +95,6 @@ class MissionState:
     leg: Optional[ImaginedTrajectory] = None  # flown while searching or reversing
     segment_start_xy: tuple[float, float] = (0.0, 0.0)
     segment_command: tuple[float, VelocityCommand] = (0.0, ZERO_COMMAND)
-    segment_ticks: float = math.inf  # a Duration segment's length; inf for other rules
     landing_gains: Optional[ControllerGains] = None
 
     def climb_rate(self, cfg: SimConfig) -> float:
@@ -146,11 +145,9 @@ def _fail(state: MissionState, reason: str) -> _Action:
 
 def _command(target: PixelPoint, gains: ControllerGains,
              frame: FrameSpec) -> tuple[float, VelocityCommand]:
-    """(error norm, command) of a proportional step towards ``target``: the
-    one norm compute_command's hover test reads."""
+    """(error norm, command) of a proportional step towards ``target``."""
     err = pixel_error(target, frame.center)
-    norm = err.norm()
-    return norm, compute_command(err, gains, norm)
+    return err.norm(), compute_command(err, gains)
 
 
 def _duration_ticks(rule: Duration, dt: float) -> float:
@@ -165,15 +162,11 @@ def _enter_segment(state: MissionState, phase: Phase, index: int, world: WorldSt
                    cfg: SimConfig) -> None:
     """Start segment ``index`` of the leg, searching or reversing, from the
     current pose.  An imagined target keeps its offset from the frame
-    center, so the segment's error norm and command are fixed here, and
-    so is a Duration segment's tick count."""
+    center, so the segment's error norm and command are fixed here."""
     _enter(state, phase, index)
-    seg = state.leg.segments[index]
     state.segment_index = index
     state.segment_start_xy = (world.drone.x, world.drone.y)
-    state.segment_command = _command(seg.target, cfg.gains, cfg.frame)
-    rule = seg.terminate_on
-    state.segment_ticks = _duration_ticks(rule, cfg.dt) if isinstance(rule, Duration) else math.inf
+    state.segment_command = _command(state.leg.segments[index].target, cfg.gains, cfg.frame)
 
 
 def _fly(state: MissionState) -> _Action:
@@ -192,7 +185,7 @@ def _segment_expired(state: MissionState, seg: ImaginedSegment, world: WorldStat
         return rule.color is not absent and \
             detect(frame, rule.color, cfg.min_blob_size) is not None
     if isinstance(rule, Duration):
-        return state.count >= state.segment_ticks
+        return state.count >= _duration_ticks(rule, cfg.dt)
     sx, sy = state.segment_start_xy  # a Distance: ImaginedSegment admits no other rule
     moved = math.hypot(world.drone.x - sx, world.drone.y - sy)
     return moved >= rule.meters - 1e-12

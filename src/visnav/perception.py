@@ -12,14 +12,14 @@ projects, checks and culls every marker at once and keeps each survivor
 as a plain (code, x, y, radius) spot.  Frame.discs clips the spots' boxes
 and Frame.labels draws the whole grid, on every read, storing nothing.
 detect() of a color with no spot returns None without clipping a box.
-Otherwise it clips that color's spots alone and tests each one's real
-span [x - r, x + r] x [y - r, y + r] against every other spot's.  A disc
-whose span meets no other is isolated: its count and centroid come in
-closed form, from per-row span moments, where one probe pass of the
-raster's own test settles the sqrt-estimated row ends.  A span that meets
-another, or a disc that pass does not settle, is rasterised with all of
-Frame.discs: the window around the watched color's discs, where the
-nearest-disc tie-break decides each pixel.
+Otherwise it clips that color's spots alone and tests each box against
+every other spot's real span [u - s, u + s] x [v - s, v + s], whose ceil
+and floor bound that spot's box.  A disc whose box overlaps no other is
+isolated: its count and centroid come in closed form, from per-row span
+moments, where one probe pass of the raster's own test settles the
+sqrt-estimated row ends.  An overlap, or a disc that pass does not
+settle, is rasterised with all of Frame.discs: the window around the
+watched color's discs, where the nearest-disc tie-break decides each pixel.
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     of their union.  None signals absence, not failure: a color with no
     spot in the frame returns None at once, before any box is clipped.
     Only the color's own spots are clipped.  Their discs are summed in
-    closed form when no other spot's span meets theirs (a box spans the
-    ceil and floor of its span, so no other box overlaps) and one probe
+    closed form when no other spot's box overlaps theirs (tested on the
+    spots: a box spans the ceil and floor of its spot's span) and one probe
     pass settles each of them; otherwise only the box around them is
     rasterised, with every drawn disc, for the nearest-disc tie-break.
     """
@@ -280,13 +280,14 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
         return None
     count = sum_rows = sum_cols = 0
     for disc in watched:
-        # a box spans ceil(x - r) .. floor(x + r), so a span that meets no
-        # spot's but its own proves the box clear of every other box
-        _, x, y, r, _, _, _, _ = disc
-        x0, x1, y0, y1 = x - r, x + r, y - r, y + r
-        met = 0
+        # the clipped-box overlap test: a spot's box, ceil(u - s) .. floor(u
+        # + s), shares a pixel with this one iff its span meets this box and
+        # holds an integer (sure when s >= 0.5); the disc's own spot does
+        _, _, _, _, y0, y1, x0, x1 = disc
+        x1, y1, met = x1 - 1, y1 - 1, 0
         for _, u, v, s in spots:
-            met += u - s <= x1 and x0 <= u + s and v - s <= y1 and y0 <= v + s
+            met += u - s <= x1 and x0 <= u + s and v - s <= y1 and y0 <= v + s and \
+                (s >= 0.5 or math.ceil(u - s) <= u + s and math.ceil(v - s) <= v + s)
         moments = _moments(disc) if met == 1 else None
         if moments is None:
             break
