@@ -342,22 +342,30 @@ def path_spread(rows: Sequence[TrajectoryRow]) -> float:
     if not rows:
         raise MalformedLogError("empty trajectory log")
     hover = Phase.HOVERING_ON_TARGET.value
-    hover_idx = [i for i, r in enumerate(rows) if r.fsm_state.split(":", 1)[0] == hover]
-    if not hover_idx:
+    # one pass: each distinct fsm_state is split once; a hover row moves the
+    # apex on and drops the return rows before it
+    legs, apex, ret = {}, None, []
+    for row in rows:
+        leg = legs.get(row.fsm_state)
+        if leg is None:
+            phase = row.fsm_state.split(":", 1)[0]
+            leg = legs[row.fsm_state] = ("apex" if phase == hover else
+                                         "return" if phase in RETURN_PHASES else "")
+        if leg == "apex":
+            apex, ret = row, []
+        elif leg:
+            ret.append(row)
+    if apex is None:
         raise MalformedLogError(f"log has no {hover} phase; "
                                 "not a completed out-and-back mission")
-    apex_i = hover_idx[-1]
-    start = np.array([rows[0].drone_x, rows[0].drone_y])
-    apex = np.array([rows[apex_i].drone_x, rows[apex_i].drone_y])
-    line = apex - start
-    length = float(np.hypot(*line))
+    x0, y0 = rows[0].drone_x, rows[0].drone_y
+    lx, ly = apex.drone_x - x0, apex.drone_y - y0
+    length = float(np.hypot(lx, ly))
     if length < 1e-12:
         raise MalformedLogError("outbound leg is degenerate (start == apex)")
-
-    ret = [(r.drone_x, r.drone_y) for r in rows[apex_i + 1:]
-           if r.fsm_state.split(":", 1)[0] in RETURN_PHASES]
     if not ret:
         raise MalformedLogError("log has no return leg after the hover")
-    pts = np.asarray(ret, dtype=float) - start
-    deviation = np.abs(line[0] * pts[:, 1] - line[1] * pts[:, 0]) / length
-    return float(deviation.max())
+    dx = np.fromiter(map(operator.attrgetter("drone_x"), ret), float, len(ret)) - x0
+    dy = np.fromiter(map(operator.attrgetter("drone_y"), ret), float, len(ret)) - y0
+    # the division is monotone, so it can follow the max
+    return float(np.abs(lx * dy - ly * dx).max()) / length

@@ -135,12 +135,15 @@ def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
 
     In each row of the box the raster's test (c - cx)**2 + (r - cy)**2 <=
     radius**2 is monotone in c on either side of the center, so the row
-    covers one contiguous span.  A sqrt estimates both ends, and one pass
-    probes, with that same float test, the column just inside each end and
-    the one just outside: the estimate is settled when every inside column
-    is covered and no outside one short of the box edge is.  Any other row
-    (an empty one, or an estimate one column off) leaves the disc unsettled,
-    and detect() rasterises it.  The span sums are integer arithmetic series.
+    covers one contiguous span.  A sqrt estimates both ends, held to the
+    box, and one pass probes, with that same float test, the column just
+    inside each end and the one just outside.  Two counts settle the
+    estimate: no outside column covered, and every inside one covered.
+    When they do not (a frame edge can cut a row short of its span), the
+    disc is settled if every inside column is covered and no outside one
+    short of the box edge is.  Any other row (an empty one, or an estimate
+    one column off) leaves the disc unsettled, and detect() rasterises it.
+    The span sums are integer arithmetic series, read off one Gram product.
     """
     _, cx, cy, radius, r0, r1, c0, c1 = disc
     r2 = radius * radius
@@ -149,20 +152,42 @@ def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
     # an array costs ~1 µs)
     k = np.array((-cx, cx, -c0, c1 - 1)).reshape(2, 2, 1)
     center, edge = k[0], k[1]
-    rows = np.arange(r0, r1, dtype=np.float64)
-    dy2 = (rows - cy) ** 2
-    ends = np.abs(r2 - dy2)
-    ends = np.floor(np.sqrt(ends, out=ends) + center)
-    np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
-    probes = (ends + _PROBES - center) ** 2 + dy2 <= r2
+    # per row, every factor of the sums: the two ends, the row and 1
+    terms = np.empty((4, r1 - r0))
+    terms[2] = np.arange(r0, r1)
+    terms[3] = 1.0
+    ends, rows = terms[:2], terms[2]
+    dy2 = rows - cy
+    dy2 **= 2
+    root = np.subtract(r2, dy2)
+    np.abs(root, out=root)
+    np.sqrt(root, out=root)
+    np.add(root, center, out=ends)
+    np.floor(ends, out=ends)
+    # an uncut box edge is the floor of center + radius, and a sqrt estimate
+    # never exceeds the radius, so only an edge the frame cut can hold an end
+    # back (a radius under a pixel is clamped anyway: against it the
+    # rounding of the center is not negligible)
+    if radius < 1.0 or cx - radius <= -1.0 or c1 <= cx + radius:
+        np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
+    d2 = ends + _PROBES
+    d2 -= center
+    d2 **= 2
+    d2 += dy2
+    probes = d2 <= r2
     outer, inner = probes[0], probes[1]
-    # settled at once when every inner probe is covered and no outer one is;
+    # settled at once when no outer probe is covered and every inner one is;
     # the box-edge mask is built only when that fails, which most discs never do
-    if not (inner > outer).all() and (not inner.all() or (outer & (ends < edge)).any()):
-        return None
-    n = ends[0] + ends[1] + 1.0
-    sums = ends @ n     # (-sum of first columns, sum of last columns)
-    return int(n.sum()), int(rows @ n), int(sums[1] - sums[0]) // 2
+    if np.count_nonzero(outer) or np.count_nonzero(inner) != inner.size:
+        if not inner.all() or (outer & (ends < edge)).any():
+            return None
+    # with lo = -first column and hi = last, a row holds lo + hi + 1 pixels
+    # whose columns sum to (hi - lo) * (lo + hi + 1) / 2 = (hi**2 - lo**2 +
+    # hi - lo) / 2: every sum is of integers, exact in float64 in any order,
+    # so one Gram product holds them all
+    (lo2, _, lo_row, lo), (_, hi2, hi_row, hi), (_, _, _, row), _ = \
+        np.dot(terms, terms.T).tolist()
+    return int(lo + hi) + r1 - r0, int(lo_row + hi_row + row), int(hi2 - lo2 + hi - lo) // 2
 
 
 def _clip(spots: Sequence[tuple[int, float, float, float]], spec: FrameSpec) -> list[_Disc]:

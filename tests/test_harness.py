@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from visnav import (Campaign, Color, InsufficientDataError, MalformedLogError, Marker,
                     MissionResult, NoiseModel, Pose, TrajectoryRow, TrialRecord, default_scenario,
                     path_spread, run, run_campaign, sample_stats)
-from visnav.harness import (P95_MIN_SUCCESSES, format_outcomes, format_summary,
+from visnav.harness import (P95_MIN_SUCCESSES, RETURN_PHASES, format_outcomes, format_summary,
                             load_trajectory, read_results_csv, summarize_results,
                             write_results_csv)
 
@@ -279,6 +279,76 @@ def test_path_spread_requires_out_and_back_log():
             TrajectoryRow(1, 0.1, 0.5, 0.5, 1.0, 0.0, 0.0, "reversing:0", "", None)]
     with pytest.raises(MalformedLogError, match="degenerate"):
         path_spread(rows)   # the apex is the start
+
+
+def _reference_spread(rows):
+    """path_spread as two numpy passes: the hover rows, then the return leg
+    as one array."""
+    if not rows:
+        raise MalformedLogError("empty trajectory log")
+    hover = "hovering_on_target"
+    hover_idx = [i for i, r in enumerate(rows) if r.fsm_state.split(":", 1)[0] == hover]
+    if not hover_idx:
+        raise MalformedLogError(f"log has no {hover} phase; "
+                                "not a completed out-and-back mission")
+    apex_i = hover_idx[-1]
+    start = np.array([rows[0].drone_x, rows[0].drone_y])
+    apex = np.array([rows[apex_i].drone_x, rows[apex_i].drone_y])
+    line = apex - start
+    length = float(np.hypot(*line))
+    if length < 1e-12:
+        raise MalformedLogError("outbound leg is degenerate (start == apex)")
+    ret = [(r.drone_x, r.drone_y) for r in rows[apex_i + 1:]
+           if r.fsm_state.split(":", 1)[0] in RETURN_PHASES]
+    if not ret:
+        raise MalformedLogError("log has no return leg after the hover")
+    pts = np.asarray(ret, dtype=float) - start
+    deviation = np.abs(line[0] * pts[:, 1] - line[1] * pts[:, 0]) / length
+    return float(deviation.max())
+
+
+# Labels of every phase, with and without a ":detail", and near misses that
+# are no phase; coordinates from a few values, so that logs repeat the start
+# (a degenerate leg) or sit within 1e-12 of it, or from a wide range.
+_labels = st.sampled_from([
+    "taking_off", "searching:0", "servoing:pink", "hovering_on_target",
+    "hovering_on_target:1", "hovering_on_target_x", "reversing:0", "reversing:84",
+    "servoing_home", "landing", "landed", "landing_x", "reversing_x:3", ""])
+_spread_coord = st.sampled_from([0.0, -0.0, 0.5, 1e-13, -3.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _trajectory_logs(draw):
+    """Logs of 0-40 rows, or out-and-back ones: a start, rows, a hover, then
+    a return leg (which may hold other phases or none of its own)."""
+    def rows(labels):
+        return [(label, draw(_spread_coord), draw(_spread_coord)) for label in labels]
+
+    if draw(st.booleans()):
+        cells = rows(draw(st.lists(_labels, max_size=40)))
+    else:
+        cells = (rows(["taking_off"]) + rows(draw(st.lists(_labels, max_size=8)))
+                 + rows(["hovering_on_target"] * draw(st.integers(1, 3)))
+                 + rows(draw(st.lists(st.sampled_from(["reversing:0", "servoing_home",
+                                                       "landing", "landed", "searching:0"]),
+                                      max_size=20))))
+    return [TrajectoryRow(i, 0.1 * i, x, y, 1.0, 0.0, 0.0, label, "", None)
+            for i, (label, x, y) in enumerate(cells)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trajectory_logs())
+def test_path_spread_matches_its_numpy_reference(rows):
+    # the same float, bit for bit, or the same MalformedLogError message
+    try:
+        want = _reference_spread(rows)
+    except MalformedLogError as exc:
+        with pytest.raises(MalformedLogError) as got:
+            path_spread(rows)
+        assert str(got.value) == str(exc)
+    else:
+        got = path_spread(rows)
+        assert type(got) is float and got.hex() == want.hex()
 
 
 def test_blank_csv_lines_between_rows_are_skipped(tmp_path):

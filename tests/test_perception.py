@@ -326,8 +326,11 @@ def _detect_all(frame):
                  st.lists(DISC, min_size=1, max_size=1)))
 def test_isolated_disc_moments_match_full_grid(scene):
     drone, markers = _build(scene, DEFAULT)
-    got, want, _ = _detect_all(render(drone, markers, DEFAULT))
+    frame = render(drone, markers, DEFAULT)
+    got, want, _ = _detect_all(frame)
     assert got == want
+    # a float or numpy scalar would compare equal: the sums must be exact ints
+    assert all(type(v) is int for d in frame.discs for v in perception._moments(d) or ())
 
 
 @contextlib.contextmanager
@@ -516,6 +519,7 @@ def test_disc_moments_match_its_raster(disc):
     region = perception._raster(discs, (d.row0, d.row1, d.col0, d.col1))
     moments = perception._moments(d)
     assert moments is None or moments == perception._label_moments(region, d.code, d.row0, d.col0)
+    assert moments is None or all(type(v) is int for v in moments)
     # settled or rasterised, detect answers as the full grid does
     assert detect(frame, Color.PINK, 1) == detect_on_labels(frame.labels, Color.PINK, 1)
 
