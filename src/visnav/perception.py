@@ -8,8 +8,9 @@ pixels and taking their centroid.  Absence of a blob is a value (None),
 not an error.
 
 A frame is the immutable (spec, spots) value render() returns: render()
-projects, checks and culls every marker at once and keeps each survivor
-as a plain (code, x, y, radius) spot.  Frame.discs clips the spots' boxes
+projects, checks and culls the markers at once (only those near the frame
+when a Markers value has indexed them) and keeps each survivor as a plain
+(code, x, y, radius) spot.  Frame.discs clips the spots' boxes
 and Frame.labels draws the whole grid, on every read, storing nothing.
 detect() of a color with no spot returns None without clipping a box.
 Otherwise it clips that color's spots alone and tests each box against
@@ -25,10 +26,11 @@ watched color's discs, where the nearest-disc tie-break decides each pixel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +87,31 @@ class Marker:
             raise ValueError("marker radius must be positive and finite")
         if not 0 <= self.height < math.inf:
             raise ValueError("marker height must be finite and >= 0")
+
+
+class Markers(tuple):
+    """An immutable tuple of Markers with render()'s ``_view``, built once:
+    each marker's plain (code, x, y, radius, height) row and, from
+    _INDEXED_FROM markers on, an index (x-sorted xs and row positions, the
+    lowest and highest marker, the largest radius and |coordinate|).
+    Raises TypeError naming the first item that is not a Marker."""
+
+    _INDEXED_FROM = 8   # the measured crossover: below it a full scan is cheaper
+
+    def __new__(cls, markers: Iterable[Marker] = ()) -> Markers:
+        self = super().__new__(cls, markers)
+        for i, m in enumerate(self):
+            if not isinstance(m, Marker):
+                raise TypeError(f"markers[{i}] must be a Marker, got {type(m).__name__}")
+        rows = tuple([(m.color._value_, *m.position, m.radius, m.height) for m in self])
+        object.__setattr__(self, "_view", (rows, None if len(rows) < cls._INDEXED_FROM else (
+            *zip(*sorted((r[1], i) for i, r in enumerate(rows))), min(r[4] for r in rows),
+            max(r[4] for r in rows), max(r[3] for r in rows),
+            max(abs(v) for r in rows for v in r[1:3]))))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Markers are immutable: cannot set {name!r}")
 
 
 class _Disc(NamedTuple):
@@ -232,14 +259,18 @@ class Detection(NamedTuple):
     pixel_count: int
 
 
-def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Frame:
-    """Synthesize the bottom-camera view of markers: each pixel takes the
-    color of the nearest marker whose projected disc covers it, or
-    background.  Discs project as discs (nadir camera, level markers) with
-    pixel radius = focal_length * radius / (drone.z - marker.height).
-    One pass projects each marker (project()'s formula, inlined), checks
-    it, and culls it or keeps it as a spot; the returned Frame is those
-    spots, and clips their boxes only when its discs are read.
+def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec,
+           pad: Optional[tuple[int, float, float, float, float]] = None) -> Frame:
+    """Synthesize the bottom-camera view of markers, then of ``pad``, a
+    plain (code, x, y, radius, height) row: each pixel takes the color of
+    the nearest marker whose projected disc covers it, or background.
+    Discs project as discs (nadir camera, level markers) with pixel radius
+    = focal_length * radius / (drone.z - marker.height).  One pass projects
+    each marker (project()'s formula, inlined), checks it, and culls it or
+    keeps it as a spot; the returned Frame is those spots, and clips their
+    boxes only when its discs are read.  An indexed Markers passes that pass
+    only its rows whose x offset can reach the frame, in marker order, once
+    a guard shows no skipped marker can raise; else every marker is passed.
 
     Raises GroundedError when the camera is not above every marker, else
     ValueError for the first marker whose projected center is not finite
@@ -251,26 +282,39 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec) -> Fra
     c, s = math.cos(drone.yaw), math.sin(drone.yaw)
     w, h, f = frame_spec.width, frame_spec.height, frame_spec.focal_length
     cx, cy = w / 2.0, h / 2.0
+    rows, index = markers._view if type(markers) is Markers else (
+        [(m.color._value_, *m.position, m.radius, m.height) for m in markers], None)
+    if index is not None:
+        xs, order, low, high, r_max, bound = index
+        # no skipped row can raise: its pixel offsets, and radius (< its x offset), stay < 1e150
+        if z > high and f / (z - high) * (2 * bound + abs(x0) + abs(y0)) < 1e150:
+            a, b = abs(s), abs(c)   # a drawn disc's |dx|, with a 1e-9 rounding slack
+            reach = ((a + 1e-9) * cx + (b + 1e-9) * cy) * (z - low) / f + (a + b + 1e-9) * r_max
+            near = order[bisect_left(xs, x0 - reach):bisect_right(xs, x0 + reach)]
+            rows = [rows[i] for i in sorted(near)]
+    if pad is not None:
+        rows = (*rows, pad)
     isfinite = math.isfinite
+    # the cull compares floats, faster than ints, unless an edge is inexact as one
+    right, bottom = (w - 1, h - 1) if max(w, h) > 2**53 else (w - 1.0, h - 1.0)
     spots = []
-    for marker in markers:
-        if z <= marker.height:
+    for code, px, py, radius, height in rows:
+        if z <= height:
             raise GroundedError("projection undefined with the camera not above the point")
-        px, py = marker.position
         dx, dy = px - x0, py - y0
-        scale = f / (z - marker.height)
+        scale = f / (z - height)
         x = cx + scale * (s * dx - c * dy)
         y = cy - scale * (c * dx + s * dy)
-        pr = scale * marker.radius
+        pr = scale * radius
         if not (isfinite(x) and isfinite(y) and isfinite(pr * pr)):
-            if any(z <= m.height for m in markers):
+            if any(z <= row[4] for row in rows):
                 raise GroundedError("projection undefined with the camera not above the point")
             if isfinite(x) and isfinite(y):
                 raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
             raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
-        if x + pr < 0 or y + pr < 0 or x - pr > w - 1 or y - pr > h - 1:
+        if x + pr < 0.0 or y + pr < 0.0 or x - pr > right or y - pr > bottom:
             continue  # wholly off the frame: its clipped box would be empty
-        spots.append((marker.color._value_, x, y, pr))
+        spots.append((code, x, y, pr))
     return Frame(frame_spec, tuple(spots))
 
 

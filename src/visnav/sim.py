@@ -18,7 +18,7 @@ import operator
 import re
 import reprlib
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .control import ControllerGains, VelocityCommand
 from .geometry import FrameSpec, Pose
-from .perception import DEFAULT_MIN_BLOB_SIZE, Color, Frame, Marker, render
+from .perception import DEFAULT_MIN_BLOB_SIZE, Color, Frame, Marker, Markers, render
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ class WorldState:
     ``np.random.default_rng(seed)`` gives.  A world that never draws never
     builds one.  copy.deepcopy snapshots the generator state once it is
     built; before that the copy holds only the seed, so it draws the same
-    stream.  Worlds compare by identity.
+    stream.  Worlds compare by identity.  ``markers`` becomes a
+    perception.Markers, which checks and indexes them once.
     """
 
     drone: Pose
@@ -109,12 +110,16 @@ class WorldState:
     time: float = 0.0
     carrier_wp_index: int = 0
 
+    def __post_init__(self) -> None:
+        if type(self.markers) is not Markers:
+            self.markers = Markers(self.markers)
+
     @cached_property
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
 
-def make_world(seed: int, markers: Sequence[Marker] = (),
+def make_world(seed: int, markers: Sequence[Marker] = Markers(),
                drone: Optional[Pose] = None,
                carrier: Optional[Pose] = None) -> WorldState:
     """Fresh world whose PCG64 generator is seeded from ``seed`` on its
@@ -123,6 +128,7 @@ def make_world(seed: int, markers: Sequence[Marker] = (),
     ``seed`` is checked here, without touching numpy: TypeError unless it
     is an integer, ValueError when it is negative.  The carrier defaults to
     the drone's planar position (the vehicle starts sitting on it).
+    ``markers`` is checked and indexed as in WorldState.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -131,7 +137,7 @@ def make_world(seed: int, markers: Sequence[Marker] = (),
         drone = Pose(0.0, 0.0, 0.0, 0.0)
     if carrier is None:
         carrier = Pose(drone.x, drone.y, 0.0, 0.0)
-    return WorldState(drone=drone, carrier=carrier, markers=tuple(markers), seed=seed)
+    return WorldState(drone=drone, carrier=carrier, markers=markers, seed=seed)
 
 
 def step(world: WorldState, cmd: VelocityCommand, cfg: SimConfig,
@@ -209,18 +215,13 @@ def _advance_carrier(world: WorldState, cfg: SimConfig, ticks: int) -> None:
     world.carrier_wp_index = i
 
 
-@lru_cache(maxsize=64)
-def _pad(x: float, y: float, radius: float, height: float) -> Marker:
-    """The carrier's landing pad at (x, y); one frozen Marker per distinct
-    pad, so a carrier that does not move reuses it every tick."""
-    return Marker((x, y), radius, Color.BLUE, height)
-
-
 def capture(world: WorldState, cfg: SimConfig) -> Frame:
-    """Bottom-camera frame: all world markers plus the carrier's blue
-    landing pad rendered at the carrier pose, carrier_height up."""
-    pad = _pad(world.carrier.x, world.carrier.y, cfg.carrier_marker_radius, cfg.carrier_height)
-    return render(world.drone, (*world.markers, pad), cfg.frame)
+    """Bottom-camera frame: the world's markers (only those near the frame
+    when their Markers, built with the world, is indexed), then the carrier's
+    blue landing pad at the carrier pose, carrier_height up, as a plain row."""
+    carrier = world.carrier
+    return render(world.drone, world.markers, cfg.frame, (Color.BLUE._value_, carrier.x,
+                  carrier.y, cfg.carrier_marker_radius, cfg.carrier_height))
 
 
 # --- trajectory log schema -------------------------------------------------

@@ -61,6 +61,15 @@ CASES = {
                                   {"x": 0.4, "y": -0.2, "radius": 0.06, "color": "yellow"}],
                       "sim": {"frame": {"width": 64, "height": 36, "focal_length": 32.0}}},
                      ["--dump-frames"]),
+    # 31 ground markers along and beside the search path on the same small
+    # camera: render projects the ones near the frame from its index
+    "indexed_64x36": ({"task": "return", "timeout_s": 60.0, "markers": [
+        {"x": 1.2, "y": 0.0, "radius": 0.08, "color": "pink"},
+        *({"x": k / 10 - 0.3, "y": 0.45 if k % 2 else -0.45, "radius": 0.05,
+           "color": ("red", "green", "yellow", "orange")[k % 4]} for k in range(24)),
+        *({"x": 1.6 + 0.15 * k, "y": 0.0, "radius": 0.05, "color": "yellow"} for k in range(6))],
+        "sim": {"frame": {"width": 64, "height": 36, "focal_length": 32.0}}},
+        ["--dump-frames"]),
 }
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +104,16 @@ GOLDEN = {
         'trajectory_1.csv without reversing index': '26466ceaa5da2b9cfb6ae7895a7b1238c82b34fd2699d92c0e2f2e3edd479f74',
         'trial_0/*.ppm': '2ffd8077d2ff421d3fa30ca7fdaad92c1d679f1c514470f6288361910a24cd5d',
         'trial_1/*.ppm': 'e3f13ab2c3f52d1e09eb2b924af4af700a850b7516f504a9ec0b93152d2d2dcc',
+    },
+    'indexed_64x36': {
+        'results.csv': '90ba47cc52e657c0f8e3d1eebbbb60ee0e3b00fc555e649883a9ac3081830e8f',
+        'summary.txt': '2ab62cf40b2d539b4ebcbc74b7c291cfdc0e0ada8ff63aec92aa02ec7b8806ed',
+        'trajectory_0.csv': 'e03da0139e923f9ddb11be19c437c822a18c998a3905af9bed3492760eb5f207',
+        'trajectory_0.csv without reversing index': '24b36ac12f634edb5d622898fd53893ef567e38bebfec261b7c64094138fdd63',
+        'trajectory_1.csv': '06aa4f4c04e45d9025bbb0a3c82425069f40fe470d23b71ebead786edf2d207c',
+        'trajectory_1.csv without reversing index': '95dfe4cd2ee0e4255d2c5edfe5896b243dc8e282222f0b58eaff76bf25a7f9bb',
+        'trial_0/*.ppm': '7537986e84182be0ee0347f46b81b99cb3de59eb5a127f2044d64264430b01d2',
+        'trial_1/*.ppm': 'c24f06fe41fb8f9a53eebf4246d4b8c9918f31b4a2ffe9af42d16e0355393654',
     },
     'return_drift': {
         'results.csv': 'c51ea050d2b6466f559406c4c44b9af1bfd0faa6db14de4fe2b8fa54e79920de',

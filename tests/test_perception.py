@@ -1,6 +1,7 @@
 """Rendering and blob detection over synthetic label frames."""
 
 import contextlib
+import copy
 import math
 from unittest import mock
 
@@ -10,8 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from visnav import (Campaign, Color, Detection, Frame, FrameSpec, GroundedError, Marker,
-                    MissionKind, PixelPoint, Pose, default_scenario, detect, frame_filename,
-                    perception, project, render, run_campaign, write_ppm)
+                    MissionKind, NoiseModel, PixelPoint, Pose, SimConfig, capture,
+                    default_scenario, detect, frame_filename, make_world, perception, project,
+                    render, run_campaign, write_ppm)
+from visnav.perception import Markers
 
 DEFAULT = FrameSpec()
 HOVER = Pose(0.0, 0.0, 1.0, 0.0)
@@ -602,3 +605,114 @@ def test_labels_match_per_pixel_nearest_disc_oracle(scene):
     drone, markers = _build(scene, spec)
     labels = render(drone, markers, spec).labels
     assert np.array_equal(labels, nearest_disc_oracle(drone, markers, spec))
+
+
+#: Frames for the index tests: default, small, one-pixel, flat, tall, and
+#: one whose right edge is not exact as a float.
+INDEX_SPECS = [DEFAULT, FrameSpec(64, 36, 32.0), FrameSpec(1, 1, 0.5), FrameSpec(640, 1, 1e3),
+               FrameSpec(3, 200, 5.0), FrameSpec(2**53 + 4, 2, 1e3)]
+
+
+def render_every_marker(drone, markers, spec):
+    """Reference render: project, check and cull every Marker in order, with
+    integer frame edges."""
+    x0, y0, z = drone.x, drone.y, drone.z
+    if z <= 0:
+        raise GroundedError("cannot render with the camera on the ground")
+    c, s = math.cos(drone.yaw), math.sin(drone.yaw)
+    w, h, f = spec.width, spec.height, spec.focal_length
+    spots = []
+    for m in markers:
+        if z <= m.height:
+            raise GroundedError("projection undefined with the camera not above the point")
+        dx, dy = m.position[0] - x0, m.position[1] - y0
+        scale = f / (z - m.height)
+        x = w / 2.0 + scale * (s * dx - c * dy)
+        y = h / 2.0 - scale * (c * dx + s * dy)
+        pr = scale * m.radius
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(pr * pr)):
+            if any(z <= other.height for other in markers):
+                raise GroundedError("projection undefined with the camera not above the point")
+            if math.isfinite(x) and math.isfinite(y):
+                raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
+            raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")
+        if not (x + pr < 0 or y + pr < 0 or x - pr > w - 1 or y - pr > h - 1):
+            spots.append((m.color.value, x, y, pr))
+    return Frame(spec, tuple(spots))
+
+
+@st.composite
+def indexed_scenes(draw):
+    """A FrameSpec, a pose of any yaw and altitude, 1-60 markers (some
+    raised, and at times one at or above the camera, 1e3 m and more off in
+    x) and maybe a pad (x, y, radius, height).  Every coordinate of a scene
+    lies within twice the frame's footprint, 4 m, 1e6 m or 1e300 m, and its
+    radii from 1e-3 m up to 0.1, 0.3 or 10 m."""
+    spec = draw(st.sampled_from(INDEX_SPECS))
+    z = draw(st.floats(0.05, 3.0) | st.floats(0.05, 30.0) | st.floats(0.0, 1e300))
+    bound = draw(st.sampled_from([None, 4.0, 1e6, 1e300]))
+    bound = bound or 2 * z * max(spec.width, spec.height) / spec.focal_length
+    coord = st.floats(-bound, bound)
+    radius = st.floats(1e-3, draw(st.sampled_from([0.1, 0.3, 10.0])))
+    drone = Pose(draw(coord), draw(coord), z, draw(st.floats(-10.0, 10.0)))
+    height = (st.just(0.0) | st.floats(0.0, 0.95)).map(lambda u: u * z)
+    n = draw(st.integers(1, 60))
+    markers = draw(st.lists(st.builds(lambda x, y, r, c, h: Marker((x, y), r, c, h), coord,
+                                      coord, radius, st.sampled_from(list(Color)), height),
+                            min_size=n, max_size=n))
+    if draw(st.sampled_from([False, False, False, True])):
+        far = 1e3 * (1 + z)
+        blocker = Marker((drone.x + far if drone.x < 0 else drone.x - far, drone.y),
+                         draw(radius), Color.RED, z + draw(st.floats(0.0, 3.0)))
+        markers.insert(draw(st.integers(0, len(markers))), blocker)
+    pad = draw(st.none() | st.tuples(coord, coord, radius, height))
+    return drone, markers, spec, pad
+
+
+def render_outcome(draw, *args):
+    """What ``draw`` returns, or the type and message of what it raises."""
+    try:
+        return draw(*args)
+    except ValueError as e:     # GroundedError is one
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(indexed_scenes())
+# a raised marker 5 m off in x would project 1e300 m off in y to -inf: no skip
+@example((HOVER, [Marker((0.0, 0.0), 0.05, Color.PINK)] * 8
+          + [Marker((5.0, 1e300), 0.05, Color.RED, 1.0 - 1e-10)], DEFAULT, None))
+# a tall frame at yaw 0 reaches 20 m along x
+@example((HOVER, [Marker((0.0, 0.0), 0.05, Color.PINK)] * 8
+          + [Marker((10.0, 0.0), 0.05, Color.RED)], FrameSpec(3, 200, 5.0), None))
+def test_an_indexed_render_equals_projecting_every_marker(scene):
+    # the pad goes in as a plain row, against a blue Marker after the rest;
+    # a bare tuple takes render's own full scan
+    drone, markers, spec, pad = scene
+    indexed = Markers(markers)
+    assert (indexed._view[1] is None) == (len(markers) < Markers._INDEXED_FROM)
+    every, row = tuple(markers), None
+    if pad is not None:
+        every, row = (*every, Marker(pad[:2], pad[2], Color.BLUE, pad[3])), (Color.BLUE.value, *pad)
+    assert render_outcome(render, drone, indexed, spec, row) == \
+        render_outcome(render_every_marker, drone, every, spec)
+    assert render_outcome(render, drone, every, spec) == \
+        render_outcome(render_every_marker, drone, every, spec)
+
+
+@pytest.mark.parametrize("n", [Markers._INDEXED_FROM - 1, Markers._INDEXED_FROM, 40])
+def test_a_snapshot_and_a_bare_tuple_capture_what_the_world_captures(n):
+    # markers every 0.1 m along x, beside the path, on either side of the
+    # count rule; a bare tuple assigned to a world projects every marker
+    markers = [Marker((0.1 * k - 1.0, 0.4 * (-1) ** k), 0.05, list(Color)[k % 6])
+               for k in range(n)]
+    cfg = SimConfig(noise=NoiseModel.zero())
+    world = make_world(0, markers, drone=Pose(0.0, 0.0, 1.0, 0.3))
+    snap, bare = copy.deepcopy(world), copy.deepcopy(world)
+    bare.markers = tuple(markers)
+    assert type(snap.markers) is Markers and snap.markers == world.markers == bare.markers
+    assert (snap.markers._view[1] is None) == (n < Markers._INDEXED_FROM)
+    for x in (-2.0, -0.5, 0.0, 0.7, 1.9, 4.0):
+        for w in (world, snap, bare):
+            w.drone = Pose(x, 0.1, 1.0, 0.3)
+        assert capture(snap, cfg) == capture(world, cfg) == capture(bare, cfg)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from visnav import (Color, ControllerGains, Duration, GroundedError, ImaginedSegment,
                     ImaginedTrajectory, Marker, NoiseModel, PixelPoint, Pose, SimConfig,
-                    TrajectoryRow, VelocityCommand, capture, default_scenario, detect,
+                    TrajectoryRow, VelocityCommand, WorldState, capture, default_scenario, detect,
                     fly_trajectory, make_world, run, sim, step, write_trajectory_csv)
 from visnav.harness import load_trajectory
 from visnav.sim import TRAJECTORY_COLUMNS
@@ -237,6 +237,19 @@ def test_an_overflowing_stretch_raises_and_leaves_the_world_as_it_was():
 def test_a_stretch_needs_at_least_one_tick():
     with pytest.raises(ValueError, match="ticks"):
         step(airborne_world(), VelocityCommand(0.05, 0.0), ZERO_NOISE, ticks=0)
+
+
+def test_markers_are_checked_where_they_enter():
+    # a (position, radius, color) tuple is not a Marker: before, the first
+    # capture failed with "'tuple' object has no attribute 'height'"
+    pink, bad = Marker((0.0, 0.0), 0.1, Color.PINK), ((1.0, 2.0), 0.1, "pink")
+    with pytest.raises(TypeError, match=r"^markers\[1\] must be a Marker, got tuple$"):
+        make_world(0, markers=[pink, bad])
+    with pytest.raises(TypeError, match=r"^markers\[0\] must be a Marker"):
+        WorldState(drone=Pose(0.0, 0.0, 1.0, 0.0), carrier=Pose(0.0, 0.0, 0.0, 0.0),
+                   markers=(bad,), seed=0)
+    with pytest.raises(AttributeError):
+        make_world(0, markers=(pink,)).markers._view = ((), None)
 
 
 def test_capture_marker_below_is_centered_blob():
