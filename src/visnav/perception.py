@@ -91,10 +91,11 @@ class Marker:
 
 class Markers(tuple):
     """An immutable tuple of Markers with render()'s ``_view``, built once:
-    each marker's plain (code, x, y, radius, height) row and, from
-    _INDEXED_FROM markers on, an index (x-sorted xs and row positions, the
-    lowest and highest marker, the largest radius and |coordinate|).
-    Raises TypeError naming the first item that is not a Marker."""
+    (rows, top, index), each marker's plain (code, x, y, radius, height)
+    row, the highest marker's height (0.0 for none) and, from _INDEXED_FROM
+    markers on, an index (x-sorted xs and row positions, the lowest marker,
+    the largest radius and |coordinate|), else None.  Raises TypeError
+    naming the first item that is not a Marker."""
 
     _INDEXED_FROM = 8   # the measured crossover: below it a full scan is cheaper
 
@@ -104,10 +105,10 @@ class Markers(tuple):
             if not isinstance(m, Marker):
                 raise TypeError(f"markers[{i}] must be a Marker, got {type(m).__name__}")
         rows = tuple([(m.color._value_, *m.position, m.radius, m.height) for m in self])
-        object.__setattr__(self, "_view", (rows, None if len(rows) < cls._INDEXED_FROM else (
-            *zip(*sorted((r[1], i) for i, r in enumerate(rows))), min(r[4] for r in rows),
-            max(r[4] for r in rows), max(r[3] for r in rows),
-            max(abs(v) for r in rows for v in r[1:3]))))
+        object.__setattr__(self, "_view", (rows, max((r[4] for r in rows), default=0.0),
+            None if len(rows) < cls._INDEXED_FROM else (
+                *zip(*sorted((r[1], i) for i, r in enumerate(rows))), min(r[4] for r in rows),
+                max(r[3] for r in rows), max(abs(v) for r in rows for v in r[1:3]))))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -265,29 +266,36 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec,
     plain (code, x, y, radius, height) row: each pixel takes the color of
     the nearest marker whose projected disc covers it, or background.
     Discs project as discs (nadir camera, level markers) with pixel radius
-    = focal_length * radius / (drone.z - marker.height).  One pass projects
-    each marker (project()'s formula, inlined), checks it, and culls it or
-    keeps it as a spot; the returned Frame is those spots, and clips their
-    boxes only when its discs are read.  An indexed Markers passes that pass
-    only its rows whose x offset can reach the frame, in marker order, once
-    a guard shows no skipped marker can raise; else every marker is passed.
+    = focal_length * radius / (drone.z - marker.height).  ``markers`` is
+    read through a Markers (any other sequence is made one per call), and
+    the camera is checked once against its highest marker and the pad.  One
+    pass then projects each marker (project()'s formula, inlined), checks
+    it, and culls it or keeps it as a spot; the returned Frame is those
+    spots, and clips their boxes only when its discs are read.  An indexed
+    Markers passes that pass only its rows whose x offset can reach the
+    frame, in marker order, once a guard shows no skipped marker can raise;
+    else every marker is passed.
 
-    Raises GroundedError when the camera is not above every marker, else
-    ValueError for the first marker whose projected center is not finite
-    or whose pixel radius is too large for the raster's distance test.
+    Raises, in this order: GroundedError when the camera is on the ground,
+    TypeError for the first item of ``markers`` that is not a Marker,
+    GroundedError when the camera is not above every marker and the pad,
+    and ValueError for the first marker whose projected center is not
+    finite or whose pixel radius is too large for the raster's distance
+    test.
     """
     x0, y0, z = drone.x, drone.y, drone.z
     if z <= 0:
         raise GroundedError("cannot render with the camera on the ground")
+    rows, top, index = (markers if type(markers) is Markers else Markers(markers))._view
+    if z <= top or pad is not None and z <= pad[4]:
+        raise GroundedError("projection undefined with the camera not above the point")
     c, s = math.cos(drone.yaw), math.sin(drone.yaw)
     w, h, f = frame_spec.width, frame_spec.height, frame_spec.focal_length
     cx, cy = w / 2.0, h / 2.0
-    rows, index = markers._view if type(markers) is Markers else (
-        [(m.color._value_, *m.position, m.radius, m.height) for m in markers], None)
     if index is not None:
-        xs, order, low, high, r_max, bound = index
+        xs, order, low, r_max, bound = index
         # no skipped row can raise: its pixel offsets, and radius (< its x offset), stay < 1e150
-        if z > high and f / (z - high) * (2 * bound + abs(x0) + abs(y0)) < 1e150:
+        if f / (z - top) * (2 * bound + abs(x0) + abs(y0)) < 1e150:
             a, b = abs(s), abs(c)   # a drawn disc's |dx|, with a 1e-9 rounding slack
             reach = ((a + 1e-9) * cx + (b + 1e-9) * cy) * (z - low) / f + (a + b + 1e-9) * r_max
             near = order[bisect_left(xs, x0 - reach):bisect_right(xs, x0 + reach)]
@@ -299,16 +307,12 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec,
     right, bottom = (w - 1, h - 1) if max(w, h) > 2**53 else (w - 1.0, h - 1.0)
     spots = []
     for code, px, py, radius, height in rows:
-        if z <= height:
-            raise GroundedError("projection undefined with the camera not above the point")
         dx, dy = px - x0, py - y0
         scale = f / (z - height)
         x = cx + scale * (s * dx - c * dy)
         y = cy - scale * (c * dx + s * dy)
         pr = scale * radius
         if not (isfinite(x) and isfinite(y) and isfinite(pr * pr)):
-            if any(z <= row[4] for row in rows):
-                raise GroundedError("projection undefined with the camera not above the point")
             if isfinite(x) and isfinite(y):
                 raise ValueError(f"marker pixel radius {pr!r} is too large to draw")
             raise ValueError(f"projected marker center must be finite, got ({x!r}, {y!r})")

@@ -98,8 +98,10 @@ class WorldState:
     ``np.random.default_rng(seed)`` gives.  A world that never draws never
     builds one.  copy.deepcopy snapshots the generator state once it is
     built; before that the copy holds only the seed, so it draws the same
-    stream.  Worlds compare by identity.  ``markers`` becomes a
-    perception.Markers, which checks and indexes them once.
+    stream.  Worlds compare by identity.  ``seed`` is checked here, without
+    touching numpy: TypeError unless it is an integer, ValueError when it
+    is negative.  ``markers`` becomes a perception.Markers, which checks
+    and indexes them once.
     """
 
     drone: Pose
@@ -111,6 +113,9 @@ class WorldState:
     carrier_wp_index: int = 0
 
     def __post_init__(self) -> None:
+        self.seed = operator.index(self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if type(self.markers) is not Markers:
             self.markers = Markers(self.markers)
 
@@ -125,14 +130,10 @@ def make_world(seed: int, markers: Sequence[Marker] = Markers(),
     """Fresh world whose PCG64 generator is seeded from ``seed`` on its
     first draw; a zero-noise world never builds one.
 
-    ``seed`` is checked here, without touching numpy: TypeError unless it
-    is an integer, ValueError when it is negative.  The carrier defaults to
-    the drone's planar position (the vehicle starts sitting on it).
-    ``markers`` is checked and indexed as in WorldState.
+    The drone defaults to the origin, on the ground, and the carrier to the
+    drone's planar position (the vehicle starts sitting on it).  ``seed``
+    and ``markers`` are checked, before any flight, by WorldState.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     if drone is None:
         drone = Pose(0.0, 0.0, 0.0, 0.0)
     if carrier is None:

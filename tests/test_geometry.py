@@ -220,6 +220,10 @@ def test_render_grounded_error_outranks_an_earlier_markers_overflow():
         assert not isinstance(raised.value, GroundedError)
         with pytest.raises(GroundedError):
             render(drone, [overflowing, pad], DEFAULT)
+        # the same disc as render's plain pad row, after the overflowing marker
+        with pytest.raises(GroundedError):
+            render(drone, [overflowing], DEFAULT, (pad.color.value, *pad.position,
+                                                    pad.radius, pad.height))
     # with every marker below the camera the first non-finite one is named
     drone = Pose(0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="pixel radius"):

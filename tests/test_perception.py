@@ -690,7 +690,7 @@ def test_an_indexed_render_equals_projecting_every_marker(scene):
     # a bare tuple takes render's own full scan
     drone, markers, spec, pad = scene
     indexed = Markers(markers)
-    assert (indexed._view[1] is None) == (len(markers) < Markers._INDEXED_FROM)
+    assert (indexed._view[-1] is None) == (len(markers) < Markers._INDEXED_FROM)
     every, row = tuple(markers), None
     if pad is not None:
         every, row = (*every, Marker(pad[:2], pad[2], Color.BLUE, pad[3])), (Color.BLUE.value, *pad)
@@ -711,7 +711,7 @@ def test_a_snapshot_and_a_bare_tuple_capture_what_the_world_captures(n):
     snap, bare = copy.deepcopy(world), copy.deepcopy(world)
     bare.markers = tuple(markers)
     assert type(snap.markers) is Markers and snap.markers == world.markers == bare.markers
-    assert (snap.markers._view[1] is None) == (n < Markers._INDEXED_FROM)
+    assert (snap.markers._view[-1] is None) == (n < Markers._INDEXED_FROM)
     for x in (-2.0, -0.5, 0.0, 0.7, 1.9, 4.0):
         for w in (world, snap, bare):
             w.drone = Pose(x, 0.1, 1.0, 0.3)

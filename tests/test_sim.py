@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, ControllerGains, Duration, GroundedError, ImaginedSegment,
+from visnav import (Color, ControllerGains, Duration, FrameSpec, GroundedError, ImaginedSegment,
                     ImaginedTrajectory, Marker, NoiseModel, PixelPoint, Pose, SimConfig,
                     TrajectoryRow, VelocityCommand, WorldState, capture, default_scenario, detect,
-                    fly_trajectory, make_world, run, sim, step, write_trajectory_csv)
+                    fly_trajectory, make_world, render, run, sim, step, write_trajectory_csv)
 from visnav.harness import load_trajectory
 from visnav.sim import TRAJECTORY_COLUMNS
 
@@ -119,6 +119,11 @@ def test_a_bad_seed_is_rejected_before_any_flight(seed, error):
     scenario = default_scenario("return")
     with pytest.raises(error):
         scenario.make_world(seed)
+    # a world built directly shares the check, so no noisy world fails at its
+    # first draw, inside numpy
+    with pytest.raises(error):
+        WorldState(drone=Pose(0.0, 0.0, 1.0, 0.0), carrier=Pose(0.0, 0.0, 0.0, 0.0),
+                   markers=(), seed=seed)
 
 
 def test_zero_noise_exactness_over_thousand_steps():
@@ -250,6 +255,9 @@ def test_markers_are_checked_where_they_enter():
                    markers=(bad,), seed=0)
     with pytest.raises(AttributeError):
         make_world(0, markers=(pink,)).markers._view = ((), None)
+    # a direct render takes the same check, not an AttributeError
+    with pytest.raises(TypeError, match=r"^markers\[0\] must be a Marker, got tuple$"):
+        render(Pose(0.0, 0.0, 1.0, 0.0), [bad], FrameSpec())
 
 
 def test_capture_marker_below_is_centered_blob():
