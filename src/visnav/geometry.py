@@ -110,7 +110,8 @@ def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,
     """Pinhole projection of a point ``height`` above the ground plane into
     the bottom camera; the depth is drone.z - height.  The body offset is
     (forward, right) = (c*dx + s*dy, s*dx - c*dy).  perception.render
-    inlines this formula bit for bit.
+    inlines this formula bit for bit; this is the reference the tests'
+    naive camera and nearest_disc_oracle project through.
 
     The result is a valid PixelPoint even when it falls outside the frame
     bounds; use :func:`in_frame` to test visibility.

@@ -7,20 +7,14 @@ modeled as exact classification and detection reduces to counting labeled
 pixels and taking their centroid.  Absence of a blob is a value (None),
 not an error.
 
-A frame is the immutable (spec, spots) value render() returns: render()
-projects, checks and culls the markers at once (only those near the frame
-when a Markers value has indexed them) and keeps each survivor as a plain
-(code, x, y, radius) spot.  Frame.discs clips the spots' boxes
-and Frame.labels draws the whole grid, on every read, storing nothing.
-detect() of a color with no spot returns None without clipping a box.
-Otherwise it clips that color's spots alone and tests each box against
-every other spot's real span [u - s, u + s] x [v - s, v + s], whose ceil
-and floor bound that spot's box.  A disc whose box overlaps no other is
-isolated: its count and centroid come in closed form, from per-row span
-moments, where one probe pass of the raster's own test settles the
-sqrt-estimated row ends.  An overlap, or a disc that pass does not
-settle, is rasterised with all of Frame.discs: the window around the
-watched color's discs, where the nearest-disc tie-break decides each pixel.
+Perception is exact: every frame, detection and error equals a naive
+camera that projects every marker through geometry.project, gives each
+pixel of the full grid the color of the nearest disc covering it, and
+averages the watched color's pixels.  render, detect and _moments skip
+only work that cannot change that answer.  In tests/test_perception.py,
+test_a_mission_flies_the_same_with_a_naive_full_grid_camera flies
+generated missions with both cameras and requires the same rows, and
+test_an_indexed_render_equals_projecting_every_marker the same errors.
 """
 
 from __future__ import annotations
@@ -192,12 +186,7 @@ def _moments(disc: _Disc) -> Optional[tuple[int, int, int]]:
     np.sqrt(root, out=root)
     np.add(root, center, out=ends)
     np.floor(ends, out=ends)
-    # an uncut box edge is the floor of center + radius, and a sqrt estimate
-    # never exceeds the radius, so only an edge the frame cut can hold an end
-    # back (a radius under a pixel is clamped anyway: against it the
-    # rounding of the center is not negligible)
-    if radius < 1.0 or cx - radius <= -1.0 or c1 <= cx + radius:
-        np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
+    np.fmin(ends, edge, out=ends)     # fmin: a NaN estimate (inf - inf) takes the edge
     d2 = ends + _PROBES
     d2 -= center
     d2 **= 2
@@ -303,8 +292,7 @@ def render(drone: Pose, markers: Sequence[Marker], frame_spec: FrameSpec,
     if pad is not None:
         rows = (*rows, pad)
     isfinite = math.isfinite
-    # the cull compares floats, faster than ints, unless an edge is inexact as one
-    right, bottom = (w - 1, h - 1) if max(w, h) > 2**53 else (w - 1.0, h - 1.0)
+    right, bottom = w - 1, h - 1
     spots = []
     for code, px, py, radius, height in rows:
         dx, dy = px - x0, py - y0
@@ -335,20 +323,17 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
 
     The centroid is the plain mean of matching pixel coordinates (computed
     from exact integer sums), so two same-colored blobs yield the centroid
-    of their union.  None signals absence, not failure: a color with no
-    spot in the frame returns None at once, before any box is clipped.
-    Only the color's own spots are clipped.  Their discs are summed in
-    closed form when no other spot's box overlaps theirs (tested on the
-    spots: a box spans the ceil and floor of its spot's span) and one probe
-    pass settles each of them; otherwise only the box around them is
-    rasterised, with every drawn disc, for the nearest-disc tie-break.
+    of their union.  None signals absence, not failure.  Only the color's
+    own spots are clipped, so a color with no spot in the frame clips no
+    box.  Their discs are summed in closed form when no other spot's box
+    overlaps theirs (tested on the spots: a box spans the ceil and floor of
+    its spot's span) and one probe pass settles each of them; otherwise
+    only the box around them is rasterised, with every drawn disc, for the
+    nearest-disc tie-break.
     """
     code = color._value_
     spec, spots = frame
-    mine = [spot for spot in spots if spot[0] == code]
-    if not mine:
-        return None     # blind: no box is clipped
-    watched = _clip(mine, spec)
+    watched = _clip([spot for spot in spots if spot[0] == code], spec)
     if not watched:
         return None
     count = sum_rows = sum_cols = 0

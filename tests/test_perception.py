@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from visnav import (Campaign, Color, Detection, Frame, FrameSpec, GroundedError, Marker,
                     MissionKind, NoiseModel, PixelPoint, Pose, SimConfig, capture,
-                    default_scenario, detect, frame_filename, make_world, perception, project,
-                    render, run_campaign, write_ppm)
+                    default_scenario, detect, frame_filename, make_world, mission, perception,
+                    project, render, run, run_campaign, write_ppm)
 from visnav.perception import Markers
+from visnav.scenario import build_scenario
+
+from test_mission import mission_configs
 
 DEFAULT = FrameSpec()
 HOVER = Pose(0.0, 0.0, 1.0, 0.0)
@@ -598,13 +601,73 @@ def nearest_disc_oracle(drone, markers, spec):
     return labels
 
 
+def nearest_disc_labels(drone, markers, spec):
+    """nearest_disc_oracle's rule over the whole grid at once, one marker
+    at a time: the same float arithmetic, so the same labels."""
+    cols = np.arange(spec.width, dtype=np.float64)[None, :]
+    rows = np.arange(spec.height, dtype=np.float64)[:, None]
+    labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
+    best = np.full(labels.shape, np.inf)
+    for m in markers:
+        c = project(drone, m.position, spec, m.height)
+        r = spec.focal_length / (drone.z - m.height) * m.radius
+        d2 = (cols - c.x) ** 2 + (rows - c.y) ** 2
+        win = (d2 <= r * r) & (d2 < best)
+        best[win] = d2[win]
+        labels[win] = m.color.value
+    return labels
+
+
 @settings(max_examples=150, deadline=None)
 @given(SCENES)
 def test_labels_match_per_pixel_nearest_disc_oracle(scene):
     spec = FrameSpec(48, 32, 24.0)
     drone, markers = _build(scene, spec)
     labels = render(drone, markers, spec).labels
-    assert np.array_equal(labels, nearest_disc_oracle(drone, markers, spec))
+    oracle = nearest_disc_oracle(drone, markers, spec)
+    assert np.array_equal(labels, oracle)
+    assert np.array_equal(nearest_disc_labels(drone, markers, spec), oracle)
+
+
+def naive_capture(world, cfg):
+    """sim.capture drawn on the full grid by nearest_disc_labels: the
+    world's markers, then the carrier's pad."""
+    c = world.carrier
+    pad = Marker((c.x, c.y), cfg.carrier_marker_radius, Color.BLUE, cfg.carrier_height)
+    return nearest_disc_labels(world.drone, (*world.markers, pad), cfg.frame)
+
+
+#: Small cameras with the default 90-degree field, one of odd size.
+SMALL_CAMERAS = [FrameSpec(64, 36, 32.0), FrameSpec(96, 54, 48.0), FrameSpec(33, 17, 16.5)]
+
+
+@st.composite
+def small_camera_missions(draw):
+    """mission_configs() seen by a small camera, over up to 14 more ground
+    markers of any color strewn across the flight area: enough to index the
+    scene, overlap discs and put the watched colors where a mission meets
+    them."""
+    config = draw(mission_configs())
+    spec = draw(st.sampled_from(SMALL_CAMERAS))
+    n = draw(st.integers(0, 14))    # a count first: st.lists favours short lists
+    extra = draw(st.lists(st.fixed_dictionaries({
+        "x": st.floats(-1.5, 2.0), "y": st.floats(-1.0, 1.0), "radius": st.floats(0.02, 0.3),
+        "color": st.sampled_from([c.name.lower() for c in Color])}), min_size=n, max_size=n))
+    frame = {"width": spec.width, "height": spec.height, "focal_length": spec.focal_length}
+    return {**config, "markers": config["markers"] + extra, "sim": {**config["sim"], "frame": frame}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_camera_missions(), st.integers(0, 2**32 - 1))
+def test_a_mission_flies_the_same_with_a_naive_full_grid_camera(config, seed):
+    # the end-to-end perception oracle: every frame and detection a mission
+    # acts on equals geometry.project, full-grid labels and a plain centroid
+    sc = build_scenario(config)
+    shipped = run(sc.spec, sc.make_world(seed), sc.cfg)
+    with mock.patch.object(mission, "capture", naive_capture), \
+            mock.patch.object(mission, "detect", detect_on_labels):
+        naive = run(sc.spec, sc.make_world(seed), sc.cfg)
+    assert repr((naive.rows, naive.final_pose)) == repr((shipped.rows, shipped.final_pose))
 
 
 #: Frames for the index tests: default, small, one-pixel, flat, tall, and
