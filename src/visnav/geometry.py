@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 
@@ -67,7 +66,8 @@ class FrameSpec:
 
     The default 640x360 frame with a 320 px focal length gives roughly a
     90 degree horizontal field of view: a 2 m wide ground footprint when
-    flying at 1 m.
+    flying at 1 m.  ``center``, the vehicle's own position in image
+    coordinates, is set at construction; it is not a field.
     """
 
     width: int = 640
@@ -80,11 +80,7 @@ class FrameSpec:
                 raise ValueError(f"frame {name} must be an integer >= 1, got {size!r}")
         if not 0 < self.focal_length < math.inf:
             raise ValueError("focal_length must be positive and finite")
-
-    @cached_property
-    def center(self) -> PixelPoint:
-        """The vehicle's own position in image coordinates."""
-        return PixelPoint(self.width / 2.0, self.height / 2.0)
+        object.__setattr__(self, "center", PixelPoint(self.width / 2.0, self.height / 2.0))
 
 
 @dataclass(frozen=True)

@@ -342,18 +342,13 @@ def path_spread(rows: Sequence[TrajectoryRow]) -> float:
     if not rows:
         raise MalformedLogError("empty trajectory log")
     hover = Phase.HOVERING_ON_TARGET.value
-    # one pass: each distinct fsm_state is split once; a hover row moves the
-    # apex on and drops the return rows before it
-    legs, apex, ret = {}, None, []
+    # one pass: a hover row moves the apex on and drops the return rows before it
+    apex, ret = None, []
     for row in rows:
-        leg = legs.get(row.fsm_state)
-        if leg is None:
-            phase = row.fsm_state.split(":", 1)[0]
-            leg = legs[row.fsm_state] = ("apex" if phase == hover else
-                                         "return" if phase in RETURN_PHASES else "")
-        if leg == "apex":
+        phase = row.fsm_state.split(":", 1)[0]
+        if phase == hover:
             apex, ret = row, []
-        elif leg:
+        elif phase in RETURN_PHASES:
             ret.append(row)
     if apex is None:
         raise MalformedLogError(f"log has no {hover} phase; "
@@ -365,7 +360,7 @@ def path_spread(rows: Sequence[TrajectoryRow]) -> float:
         raise MalformedLogError("outbound leg is degenerate (start == apex)")
     if not ret:
         raise MalformedLogError("log has no return leg after the hover")
-    dx = np.fromiter(map(operator.attrgetter("drone_x"), ret), float, len(ret)) - x0
-    dy = np.fromiter(map(operator.attrgetter("drone_y"), ret), float, len(ret)) - y0
+    dx = np.array([row.drone_x for row in ret]) - x0
+    dy = np.array([row.drone_y for row in ret]) - y0
     # the division is monotone, so it can follow the max
     return float(np.abs(lx * dy - ly * dx).max()) / length

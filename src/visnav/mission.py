@@ -81,8 +81,8 @@ class AbsorbingStateError(RuntimeError):
 class MissionState:
     """FSM state and per-phase bookkeeping carried from tick to tick, owned by
     one loop; what a tick commands and sees is tick's return value.
-    landing_gains is cfg.gains with hover_threshold LAND_THRESHOLD_PX, built
-    once per mission, at its first servoing_home or landing hit."""
+    landing_gains, which servoing home and landing steer with, is cfg.gains
+    with hover_threshold LAND_THRESHOLD_PX, set where the return leg starts."""
 
     phase: Phase = field(init=False)  # phase and label are written only by _enter
     label: str = field(init=False)  # fsm_state of the trajectory log
@@ -258,6 +258,7 @@ def _act_blind(state: MissionState, spec: MissionSpec, world: WorldState,
                 state.leg = reverse(state.log, cfg.frame)
             except EmptyLogError:
                 return _fail(state, "reversal_unavailable")
+            state.landing_gains = replace(cfg.gains, hover_threshold=LAND_THRESHOLD_PX)
             _enter_segment(state, Phase.REVERSING, 0, world, cfg)
             return _fly(state)
         state.count += 1
@@ -295,14 +296,10 @@ def _on_miss(state: MissionState, world: WorldState, frame: Frame, watched: Colo
 
 def _on_hit(state: MissionState, det: Detection, cfg: SimConfig) -> _Action:
     """Servo on the detected blob and take the phase change it earns; servoing
-    home and landing steer with state.landing_gains, building them once."""
+    home and landing steer with state.landing_gains."""
     phase = state.phase
-    gains = cfg.gains
-    if phase is Phase.SERVOING_HOME or phase is Phase.LANDING:
-        if state.landing_gains is None:
-            state.landing_gains = replace(gains, hover_threshold=LAND_THRESHOLD_PX)
-        gains = state.landing_gains
-    err, cmd = _command(det.center, gains, cfg.frame)
+    homing = phase is Phase.SERVOING_HOME or phase is Phase.LANDING
+    err, cmd = _command(det.center, state.landing_gains if homing else cfg.gains, cfg.frame)
     if phase is Phase.SEARCHING:
         _enter(state, Phase.SERVOING, _COLOR_NAMES[det.color])
     elif phase is Phase.SERVOING:
@@ -374,9 +371,10 @@ def fly_trajectory(traj: ImaginedTrajectory, world: WorldState,
     all its ticks, bit-identical to stepping it tick by tick.  Useful for
     pattern flights and reversal studies; closed-loop missions use run().
 
-    Every segment is checked before the first step, so a flight that raises
-    leaves ``world`` untouched: ValueError names the first segment that is
-    not Duration-terminated or that takes the flight over MAX_MISSION_TICKS.
+    ValueError, raised before the first step with ``world`` untouched, names
+    the first segment that is not Duration-terminated or that takes the
+    flight over MAX_MISSION_TICKS.  Past that, a segment whose pose
+    overflows raises with ``world`` where the segments before it left it.
     """
     ticks, total = [], 0
     for seg in traj.segments:

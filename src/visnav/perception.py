@@ -216,8 +216,8 @@ def _clip(spots: Sequence[tuple[int, float, float, float]], spec: FrameSpec) -> 
     for code, x, y, r in spots:
         col0, col1 = ceil(x - r), floor(x + r) + 1
         row0, row1 = ceil(y - r), floor(y + r) + 1
-        col0, row0 = (col0 if col0 > 0 else 0), (row0 if row0 > 0 else 0)   # max() costs more
-        col1, row1 = (col1 if col1 < w else w), (row1 if row1 < h else h)
+        col0, row0 = max(col0, 0), max(row0, 0)
+        col1, row1 = min(col1, w), min(row1, h)
         if col0 < col1 and row0 < row1:
             discs.append(_Disc(code, x, y, r, row0, row1, col0, col1))
     return discs
@@ -331,7 +331,7 @@ def detect(frame: Frame, color: Color, min_blob_size: int = DEFAULT_MIN_BLOB_SIZ
     only the box around them is rasterised, with every drawn disc, for the
     nearest-disc tie-break.
     """
-    code = color._value_
+    code = color._value_   # the .value property costs a Python call per detect
     spec, spots = frame
     watched = _clip([spot for spot in spots if spot[0] == code], spec)
     if not watched:

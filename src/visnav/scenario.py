@@ -260,18 +260,36 @@ def _finite_pair(key: str, value) -> tuple[float, float]:
     """A config [x, y] point as a tuple of floats, rejected here, naming
     its key, unless it is a JSON array of two finite numbers (it fails
     mid-run otherwise)."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ScenarioError(f"{key} must be a finite [x, y] pair, got {reprlib.repr(value)}")
-    return float(value[0]), float(value[1])
+    if (isinstance(value, list) and len(value) == 2
+            and all(type(v) in (int, float) for v in value)):
+        x, y = _number(key, value[0]), _number(key, value[1])
+        if math.isfinite(x) and math.isfinite(y):
+            return x, y
+    raise ScenarioError(f"{key} must be a finite [x, y] pair, got {reprlib.repr(value)}")
 
 
 def _number(key: str, value) -> float:
     """A config number as a float.  Any other JSON value (a bool, string,
-    null, list or object) is rejected, naming its key, not coerced."""
+    null, list or object) is rejected, naming its key, not coerced, as is
+    an integer too large for a float."""
     if type(value) not in (int, float):
         raise ScenarioError(f"{key} must be a number, got {reprlib.repr(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{key} must be a number that a float holds, "
+                            f"got {reprlib.repr(value)}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A config JSON object as a dict; a key named twice is rejected (plain
+    json.loads keeps its last value)."""
+    node = {}
+    for key, value in pairs:
+        if key in node:
+            raise ScenarioError(f"config names key {reprlib.repr(key)} twice")
+        node[key] = value
+    return node
 
 
 #: Config keys that are Campaign settings rather than part of the Scenario.
@@ -283,9 +301,9 @@ def load_campaign(path: str | Path) -> Campaign:
     trials and base_seed where it sets them (else Campaign's defaults).
     Raises ScenarioError, naming the file, when it cannot be read or is not
     UTF-8 JSON (nesting too deep to parse included), and on any malformed
-    content."""
+    content, a key named twice in one object included."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

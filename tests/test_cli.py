@@ -602,6 +602,13 @@ def test_run_rejects_mistyped_switches_and_sizes(tmp_path, capsys, message, sim)
         {"target": [320, 80], "until": {"type": "duration", "seconds": "5"}}]}}),
     ("dt", {"task": "forward", "sim": {"dt": True}}),
     ("drift_std", {"task": "forward", "sim": {"noise": {"drift_std": "0.01"}}}),
+    # integers too large for a float
+    ("timeout_s", {"task": "forward", "timeout_s": 10**400}),
+    ("x", {"task": "track",
+           "markers": [{"x": 10**400, "y": 0.2, "radius": 0.1, "color": "pink"}]}),
+    ("min_blob_size", {"task": "forward", "sim": {"min_blob_size": 10**400}}),
+    ("target", {"task": "forward", "trajectory": {"type": "segments", "segments": [
+        {"target": [320, 10**400], "until": {"type": "duration", "seconds": 5}}]}}),
 ])
 def test_run_rejects_config_numbers_that_are_not_json_numbers(tmp_path, capsys, key, config):
     path = tmp_path / "bad.json"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visnav import (Color, Distance, Duration, EmptyLogError, FrameSpec, ImaginedSegment,
-                    ImaginedTrajectory, MarkerDetected, MissionKind, MissionSpec,
+from visnav import (Color, ControllerGains, Distance, Duration, EmptyLogError, FrameSpec,
+                    ImaginedSegment, ImaginedTrajectory, MarkerDetected, MissionKind, MissionSpec,
                     MotionLog, NoiseModel, PixelPoint, Pose, Scenario, SimConfig,
                     Phase, VelocityCommand, fly_trajectory, forward_target,
                     initial_state, make_world, offset_target, reflect_about_center,
@@ -247,6 +247,21 @@ def test_fly_trajectory_checks_every_segment_before_flying(last_end, match):
     with pytest.raises(ValueError, match=match):
         fly_trajectory(traj, world, ZERO_NOISE)
     assert world.steps == 0 and world.drone == Pose(0, 0, 1.0, 0.0) and world.time == 0.0
+
+
+def test_a_flight_that_overflows_keeps_the_segments_it_flew():
+    # past the pre-checks each segment is one atomic step: the second one's
+    # pose overflows and raises, and the world is where the first one left it
+    cfg = SimConfig(gains=ControllerGains(k=0.03, max_speed=1e308), noise=NoiseModel.zero())
+    first = ImaginedSegment(PixelPoint(320, 80), Duration(1.0))
+    far = ImaginedSegment(PixelPoint(1.7e308, 180), Duration(100.0))
+    world, flown = (make_world(0, drone=Pose(0, 0, 1.0, 0.0)) for _ in range(2))
+    with pytest.raises(ValueError, match="Pose fields must be finite"):
+        fly_trajectory(ImaginedTrajectory((first, far)), world, cfg)
+    fly_trajectory(ImaginedTrajectory((first,)), flown, cfg)
+    assert world.steps == 10 and world.drone.x == pytest.approx(3.0)
+    assert repr((world.drone, world.steps, world.time)) == \
+        repr((flown.drone, flown.steps, flown.time))
 
 
 def test_fly_trajectory_flies_a_flight_of_exactly_the_tick_budget():

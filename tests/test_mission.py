@@ -98,6 +98,13 @@ def test_fsm_audit_reports_an_unknown_state_label():
         ["unknown state label 'flying'"]
 
 
+def test_fsm_audit_reports_an_illegal_transition():
+    # self-loops and a failure from any phase are legal
+    assert audit_transitions(["taking_off", "taking_off", "landed", "landed",
+                              "failed:timeout"]) == \
+        ["illegal transition taking_off -> landed at row 2"]
+
+
 def test_tick_after_landed_raises():
     sc = zero_noise_scenario("return")
     world = sc.make_world(0)
@@ -705,6 +712,9 @@ def test_load_campaign_explicit_segments(tmp_path):
     json.dumps({"task": "forward", "drone_start": 5}),
     json.dumps({"task": "coordination", "sim": {"carrier_waypoints": [5]}}),
     json.dumps({"task": "forward", "trajectory": {"type": "segments", "segments": 5}}),
+    # a key named twice in one object, which json.loads would read as its last copy
+    '{"task": "return", "trials": 2, "trials": 3}',
+    '{"task": "return", "sim": {"noise": {"drift_std": 0.0}, "noise": {"drift_std": 0.02}}}',
 ])
 def test_load_campaign_rejects_malformed_configs(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -181,7 +181,7 @@ def test_no_source_builds_a_value_around_its_checks():
 def test_no_source_keeps_a_process_wide_cache():
     # an lru_cache outlives every world and scenario that filled it, and a
     # cached_property stores a value the object's fields no longer build;
-    # only a world's lazy generator and a frame's centre are kept that way
+    # only a world's lazy generator is kept that way
     src = Path(visnav.__file__).parent
     lines = [(path.name, line) for path in sorted(src.glob("*.py"))
              for line in path.read_text(encoding="utf-8").splitlines()]
@@ -191,5 +191,4 @@ def test_no_source_keeps_a_process_wide_cache():
     assert set(uses) == {"from functools import cached_property", "@cached_property"}
     cached = [(name, nxt.strip()) for (name, line), (_, nxt) in zip(lines, lines[1:])
               if line.strip() == "@cached_property"]
-    assert cached == [("geometry.py", "def center(self) -> PixelPoint:"),
-                      ("sim.py", "def rng(self) -> np.random.Generator:")]
+    assert cached == [("sim.py", "def rng(self) -> np.random.Generator:")]
