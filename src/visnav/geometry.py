@@ -83,22 +83,32 @@ class FrameSpec:
         object.__setattr__(self, "center", PixelPoint(self.width / 2.0, self.height / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
-    """World-frame pose: planar position, altitude and heading."""
+    """World-frame pose: planar position, altitude and heading.
+
+    A frozen dataclass whose constructor is written out: it checks the
+    fields (finite, then z >= 0) and stores them straight into the instance
+    dict, half the cost of the generated frozen __init__'s one
+    object.__setattr__ call per field.  dataclasses.replace goes through it.
+    """
 
     x: float
     y: float
     z: float
     yaw: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: float, y: float, z: float, yaw: float = 0.0) -> None:
         isfinite = math.isfinite
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)
-                and isfinite(self.yaw)):
-            _require_finite("Pose fields", self.x, self.y, self.z, self.yaw)
-        if self.z < 0:
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(yaw)):
+            _require_finite("Pose fields", x, y, z, yaw)
+        if z < 0:
             raise ValueError("altitude z must be >= 0")
+        d = self.__dict__
+        d["x"] = x
+        d["y"] = y
+        d["z"] = z
+        d["yaw"] = yaw
 
 
 def project(drone: Pose, world_point: tuple[float, float], frame: FrameSpec,

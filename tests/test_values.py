@@ -1,7 +1,11 @@
 """The per-tick value types are named tuples: checked as strictly as before,
-and they unpack, compare, hash, pickle and copy as tuples of their fields."""
+and they unpack, compare, hash, pickle and copy as tuples of their fields.
+Pose and TrajectoryRow stay frozen dataclasses with written-out
+constructors, and behave as the generated ones would."""
 
 import copy
+import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -13,7 +17,8 @@ from hypothesis import strategies as st
 
 import visnav
 from visnav import (Color, Detection, Distance, Duration, ImaginedSegment, LogEntry,
-                    MarkerDetected, PixelError, PixelPoint, VelocityCommand)
+                    MarkerDetected, PixelError, PixelPoint, Pose, TrajectoryRow,
+                    VelocityCommand)
 
 #: Numbers and things that are not: non-finite floats, ints too large for a
 #: float, and values of other types.
@@ -192,3 +197,137 @@ def test_no_source_keeps_a_process_wide_cache():
     cached = [(name, nxt.strip()) for (name, line), (_, nxt) in zip(lines, lines[1:])
               if line.strip() == "@cached_property"]
     assert cached == [("sim.py", "def rng(self) -> np.random.Generator:")]
+
+
+# --- Pose and TrajectoryRow against generated frozen dataclasses ------------
+
+
+def _pose_checks(self):
+    # Pose's checks as a __post_init__: finite fields, then z >= 0
+    for v in (self.x, self.y, self.z, self.yaw):
+        if not math.isfinite(v):
+            raise ValueError(f"Pose fields must be finite, got {v!r}")
+    if self.z < 0:
+        raise ValueError("altitude z must be >= 0")
+
+
+#: Twins of Pose and TrajectoryRow as @dataclass(frozen=True) generates
+#: them, with the same names, field types and defaults.
+TWINS = {
+    Pose: dataclasses.make_dataclass(
+        "Pose", [("x", "float"), ("y", "float"), ("z", "float"),
+                 ("yaw", "float", dataclasses.field(default=0.0))],
+        frozen=True, namespace={"__post_init__": _pose_checks}),
+    TrajectoryRow: dataclasses.make_dataclass(
+        "TrajectoryRow", [("step", "int"), ("time_s", "float"), ("drone_x", "float"),
+                          ("drone_y", "float"), ("drone_z", "float"), ("vel_fwd", "float"),
+                          ("vel_right", "float"), ("fsm_state", "str"),
+                          ("detected_color", "str"), ("err_px", "Optional[float]")],
+        frozen=True),
+}
+
+#: Mostly valid field values, with the ones Pose rejects mixed in; 0.0 and
+#: -0.0 make equal values from different floats.
+FIELD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1, True]), FINITE, ANY)
+
+
+#: Positional constructor arguments of each class.
+ARGS = {
+    Pose: st.tuples(FIELD, FIELD, FIELD, FIELD),
+    TrajectoryRow: st.tuples(st.integers(0, 10**6), FIELD, FIELD, FIELD, FIELD, FIELD, FIELD,
+                             st.text(max_size=4), st.sampled_from(["none", "pink", "blue"]),
+                             st.none() | FIELD),
+}
+
+
+def _built(build, *args, **kwargs):
+    """(value, None) or (None, (exception type, message))."""
+    try:
+        return build(*args, **kwargs), None
+    except (TypeError, ValueError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _field_specs(cls):
+    return [(f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash,
+             f.compare, f.kw_only) for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls", list(TWINS), ids=lambda cls: cls.__name__)
+def test_written_out_constructors_keep_the_dataclass_surface(cls):
+    twin = TWINS[cls]
+    assert _field_specs(cls) == _field_specs(twin)
+    assert cls.__match_args__ == twin.__match_args__
+    # every dataclass parameter but init, which the written-out __init__ replaces
+    for param in ("repr", "eq", "order", "unsafe_hash", "frozen"):
+        assert getattr(cls.__dataclass_params__, param) == \
+            getattr(twin.__dataclass_params__, param)
+    assert [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()] \
+        == [(p.name, p.kind, p.default) for p in inspect.signature(twin).parameters.values()]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(ARGS)), st.data())
+def test_values_build_compare_hash_and_replace_as_their_twins(cls, data):
+    twin = TWINS[cls]
+    args = data.draw(ARGS[cls], label="args")
+    value, error = _built(cls, *args)
+    twin_value, twin_error = _built(twin, *args)
+    assert error == twin_error
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert _built(cls, **dict(zip(names, args)))[1] == error
+    if error is not None:
+        return
+    assert type(value) is cls and dataclasses.astuple(value) == tuple(args)
+    assert repr(value) == repr(twin_value)
+    assert hash(value) == hash(twin_value)
+    # == against a second value, equal or not, built from drawn fields
+    other = data.draw(ARGS[cls] | st.just(args), label="other")
+    other_value, other_error = _built(cls, *other)
+    if other_error is None:
+        assert (value == other_value) == (twin_value == twin(*other))
+        assert value != twin_value   # a twin is another class
+    # dataclasses.replace goes through the constructor, checks and all
+    changed = data.draw(st.lists(st.sampled_from(names), unique=True))
+    changes = {name: data.draw(FIELD, label=name) for name in changed}
+    back, back_error = _built(dataclasses.replace, value, **changes)
+    twin_back, twin_back_error = _built(dataclasses.replace, twin_value, **changes)
+    assert back_error == twin_back_error
+    if back_error is None:
+        assert type(back) is cls and repr(back) == repr(twin_back)
+        assert dataclasses.astuple(back) == dataclasses.astuple(twin_back)
+
+
+@pytest.mark.parametrize("value", [
+    Pose(0.5, -1.25, 1.0, 0.3),
+    Pose(0.0, 0.0, 0.0),
+    TrajectoryRow(7, 0.7, 0.1, -0.2, 1.0, 0.05, 0.0, "servoing", "pink", 12.5),
+    TrajectoryRow(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, "taking_off", "none", None),
+], ids=repr)
+def test_pose_and_row_stay_frozen_and_round_trip(value):
+    twin_value = TWINS[type(value)](*dataclasses.astuple(value))
+    for name in [f.name for f in dataclasses.fields(value)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError) as got:
+            setattr(value, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError) as want:
+            setattr(twin_value, name, 1.0)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(dataclasses.FrozenInstanceError) as got:
+            delattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError) as want:
+            delattr(twin_value, name)
+        assert str(got.value) == str(want.value)
+    assert vars(value) == vars(twin_value)
+    for round_trip in [*(lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+                         for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+                       copy.deepcopy, copy.copy]:
+        back = round_trip(value)
+        assert type(back) is type(value) and back == value and vars(back) == vars(value)
+        assert hash(back) == hash(value)
+
+
+@given(FINITE, FINITE, st.floats(0.0, 1e300))
+def test_pose_takes_keywords_and_defaults_yaw_to_zero(x, y, z):
+    pose = Pose(z=z, y=y, x=x)
+    assert pose == Pose(x, y, z) == Pose(x, y, z, 0.0)
+    assert repr(pose) == repr(TWINS[Pose](x, y, z)) == f"Pose(x={x!r}, y={y!r}, z={z!r}, yaw=0.0)"
