@@ -60,7 +60,11 @@ PPM_COLORS = {
 
 @dataclass(frozen=True)
 class Marker:
-    """Colored disc lying flat at ``height`` above the ground plane."""
+    """Colored disc lying flat at ``height`` above the ground plane.
+
+    ``position`` is stored as a tuple of two floats, a copy of the sequence
+    given, so a marker is hashable and a later change to that sequence does
+    not move it."""
 
     position: tuple[float, float]
     radius: float
@@ -81,6 +85,7 @@ class Marker:
             raise ValueError("marker radius must be positive and finite")
         if not 0 <= self.height < math.inf:
             raise ValueError("marker height must be finite and >= 0")
+        object.__setattr__(self, "position", (float(x), float(y)))
 
 
 class Markers(tuple):

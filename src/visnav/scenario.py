@@ -84,7 +84,10 @@ class Scenario:
     """A mission spec plus the world it runs in; seeds make worlds.
 
     Raises ScenarioError when ``markers`` is not a tuple of Markers, or when
-    the spec is over check_tick_budget.
+    the spec is over check_tick_budget.  ``drone_start`` and
+    ``carrier_start`` (unless None) are stored as tuples of two floats,
+    copies of the sequences given, once each value passes math.isfinite
+    (a string raises TypeError there, a NaN or an infinity ScenarioError).
     """
 
     spec: MissionSpec
@@ -98,6 +101,13 @@ class Scenario:
                 and all(isinstance(m, Marker) for m in self.markers)):
             raise ScenarioError(f"markers must be a tuple of Markers, got {self.markers!r}")
         check_tick_budget(self.spec, self.cfg)
+        for key in ("drone_start", "carrier_start"):
+            point = getattr(self, key)
+            if point is not None:
+                x, y = point
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ScenarioError(f"{key} must be finite, got {reprlib.repr(point)}")
+                object.__setattr__(self, key, (float(x), float(y)))
 
     def make_world(self, seed: int) -> WorldState:
         z = self.cfg.altitude if self.spec.kind is MissionKind.TRACK_VISIBLE \
@@ -303,7 +313,8 @@ def load_campaign(path: str | Path) -> Campaign:
     UTF-8 JSON (nesting too deep to parse included), when it holds an
     integer too long for Python to read (over sys.get_int_max_str_digits()
     digits), and on any malformed content, a key named twice in one object
-    included."""
+    included: then the message is ``config <path>: `` and the message of
+    build_scenario or Campaign, which names the key."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -312,13 +323,13 @@ def load_campaign(path: str | Path) -> Campaign:
         raise ScenarioError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except ScenarioError:   # _unique_keys' own, a ValueError too
-        raise
+        return Campaign(build_scenario(data), **{k: data[k] for k in _CAMPAIGN_KEYS if k in data})
+    except ScenarioError as exc:   # _unique_keys', build_scenario's or Campaign's
+        raise ScenarioError(f"config {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     except ValueError as exc:   # int()'s digit limit, which json.loads passes on as is
         raise ScenarioError(f"config {path} holds a number too long to read: {exc}") from exc
-    return Campaign(build_scenario(data), **{k: data[k] for k in _CAMPAIGN_KEYS if k in data})
 
 
 def build_scenario(data: dict) -> Scenario:

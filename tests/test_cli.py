@@ -10,7 +10,6 @@ from visnav import FrameSpec, default_scenario, load_campaign, run, run_campaign
 from visnav.cli import main
 from visnav.harness import MAX_DUMP_FRAME_BYTES, RESULTS_COLUMNS
 from visnav.perception import ppm_size
-from visnav.sim import TRAJECTORY_COLUMNS
 
 
 def write_config(tmp_path, **overrides):
@@ -65,24 +64,6 @@ def test_config_trials_and_seed_with_cli_override(tmp_path, capsys):
 
 def test_run_requires_task_or_config(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o")]) == 2
-
-
-def test_run_bad_config_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("content", [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{}"],
-                         ids=["nested_200000_deep", "not_utf8"])
-def test_run_config_too_deep_or_not_utf8_exits_2_naming_the_file(tmp_path, capsys, content):
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
-    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config {bad} is not valid UTF-8 JSON: ")
-    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_run_strict_exits_3_on_failure(tmp_path, capsys):
@@ -163,12 +144,6 @@ def test_stats_missing_file_exits_2(tmp_path):
     assert main(["stats", "--in", str(tmp_path / "none.csv")]) == 2
 
 
-def test_stats_malformed_file_exits_2(tmp_path):
-    bad = tmp_path / "r.csv"
-    bad.write_text("a,b\n1,2\n")
-    assert main(["stats", "--in", str(bad)]) == 2
-
-
 def test_spread_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, task="return",
                        markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
@@ -180,100 +155,6 @@ def test_spread_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("path_spread_m:")
     assert float(text.split(":")[1]) <= 1e-6
-
-
-def test_spread_on_wrong_csv_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    main(["run", "--task", "track", "--trials", "1", "--out", str(out)])
-    assert main(["spread", "--in", str(out / "results.csv")]) == 2
-    capsys.readouterr()
-    assert main(["spread", "--in", str(out / "trajectory_0.csv")]) == 2   # a track log
-    assert "no return leg after the hover" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, name, what", [("stats", "results.csv", "results"),
-                                                  ("spread", "trajectory_0.csv", "trajectory")])
-@pytest.mark.parametrize("change", ["short", "long"])
-def test_csv_row_with_the_wrong_field_count_exits_2(tmp_path, capsys, command, name, what,
-                                                    change):
-    cfg = write_config(tmp_path, task="return",
-                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
-    lines = (out / name).read_text().splitlines(keepends=True)
-    fields = lines[1].rstrip("\r\n").split(",")
-    row = fields[:3] if change == "short" else fields + ["0"]
-    lines[1] = ",".join(row) + "\r\n"
-    (out / name).write_text("".join(lines))
-    capsys.readouterr()
-    assert main([command, "--in", str(out / name)]) == 2
-    header = len(lines[0].split(","))
-    assert capsys.readouterr().err == \
-        f"error: {what} file line 2: {len(row)} fields, the header has {header}\n"
-
-
-@pytest.mark.parametrize("command, columns, what", [("stats", RESULTS_COLUMNS, "results"),
-                                                     ("spread", TRAJECTORY_COLUMNS, "trajectory")])
-def test_csv_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys, command, columns, what):
-    path = tmp_path / "log.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerow(["0"] * len(columns))
-        writer.writerow(["x" * (csv.field_size_limit() + 1)] * len(columns))
-    assert main([command, "--in", str(path)]) == 2
-    assert capsys.readouterr().err == (f"error: {what} file line 3: field larger than field "
-                                       f"limit ({csv.field_size_limit()})\n")
-
-
-@pytest.mark.parametrize("command, name, column, expected", [
-    ("stats", "results.csv", "elapsed_s", "a finite number"),
-    ("stats", "results.csv", "trial", "an integer"),
-    ("spread", "trajectory_0.csv", "drone_x", "a finite number"),
-    ("spread", "trajectory_0.csv", "step", "an integer"),
-    ("spread", "trajectory_0.csv", "err_px", "empty or a finite number"),
-])
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1_0", "1_0.5", " 2 ", "\u0663",
-                                   "\uff11.5"])
-def test_csv_value_that_does_not_parse_exits_2(tmp_path, capsys, command, name, column,
-                                               expected, value):
-    # the last row: a successful trial of results.csv, a return-leg row of
-    # the trajectory, so an unchecked nan would reach mean_s or the spread
-    cfg = write_config(tmp_path, task="return",
-                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
-    what, last = ("results", "success") if command == "stats" else ("trajectory", "landed")
-    with open(out / name, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert last in rows[-1]
-    rows[-1][rows[0].index(column)] = value
-    with open(out / name, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    capsys.readouterr()
-    assert main([command, "--in", str(out / name)]) == 2
-    assert capsys.readouterr().err == \
-        f"error: {what} file line {len(rows)}: {column} {value!r} is not {expected}\n"
-
-
-@pytest.mark.parametrize("command, name, what, column", [
-    ("stats", "results.csv", "results", "outcome"),
-    ("spread", "trajectory_0.csv", "trajectory", "fsm_state")])
-def test_csv_that_is_not_utf8_exits_2_naming_the_file_kind(tmp_path, capsys, command, name,
-                                                           what, column):
-    cfg = write_config(tmp_path, task="return",
-                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
-    with open(out / name, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[-1][rows[0].index(column)] = "landed\udcff"  # a lone 0xff byte once encoded
-    with open(out / name, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        csv.writer(fh).writerows(rows)
-    capsys.readouterr()
-    assert main([command, "--in", str(out / name)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {what} file is not UTF-8: ")
 
 
 def test_csv_cell_error_bounds_the_cell_it_echoes(tmp_path, capsys):
@@ -303,68 +184,13 @@ def test_stats_bounds_a_long_outcome_label_and_prints_run_labels_whole(tmp_path,
     assert f"\noutcome {'x' * 64}... (100000 characters): 1\n" in out
 
 
-@pytest.mark.parametrize("label, line", [
-    ("failed:x\nsuccess_count: 99", 3),   # the line csv has read to when the row ends
-    ("failed:x\rsuccess_count: 99", 3),
-    ("failed:\x1b[2Ktimeout", 2),         # an escape that erases the printed line
-    ("failed:x\u2028success", 2)])         # a Unicode line separator
-def test_stats_rejects_an_outcome_that_would_print_a_forged_line(tmp_path, capsys, label,
-                                                                 line):
-    path = tmp_path / "results.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
-        writer.writerow([0, 0, label, 1.0, 10, 0.0, 0.0])
-    assert main(["stats", "--in", str(path)]) == 2
-    assert capsys.readouterr() == \
-        ("", f"error: results file line {line}: outcome {label!r} is not printable text\n")
-
-
-@pytest.mark.parametrize("command, name, what, column, value", [
-    ("stats", "results.csv", "results", "outcome", "failed:timeout"),
-    ("spread", "trajectory_0.csv", "trajectory", "fsm_state", "failed:timeout")])
-def test_csv_header_naming_a_column_twice_exits_2(tmp_path, capsys, command, name, what,
-                                                   column, value):
-    # read as a dict, the later column would win and the run's own cells be lost
-    cfg = write_config(tmp_path, task="return",
-                       markers=[{"x": 0.8, "y": 0.0, "radius": 0.12, "color": "pink"}])
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--trials", "2", "--out", str(out)]) == 0
-    with open(out / name, newline="") as fh:
-        rows = list(csv.reader(fh))
-    with open(out / name, "w", newline="") as fh:
-        csv.writer(fh).writerows([rows[0] + [column]] + [row + [value] for row in rows[1:]])
-    capsys.readouterr()
-    assert main([command, "--in", str(out / name)]) == 2
-    assert capsys.readouterr() == \
-        ("", f"error: {what} file header names column {column!r} twice\n")
-
-
 def test_config_error_bounds_the_value_it_echoes(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"task": "return", "markers": {"x": "a" * 2_000_000}}))
     assert main(["run", "--config", str(path), "--trials", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: markers must be a JSON array") and len(err.encode()) < 1024
-
-
-@pytest.mark.parametrize("message, config", [
-    ("marker is missing key 'y'",
-     {"task": "forward", "markers": [{"x": 1.0, "radius": 0.06, "color": "pink"}]}),
-    ("segment is missing key 'target'",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [
-         {"until": {"type": "marker", "color": "pink"}}]}}),
-    ("square trajectory is missing key 'side_duration_s'",
-     {"task": "forward", "trajectory": {"type": "square"}}),
-    ("duration termination is missing key 'seconds'",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [
-         {"target": [320, 80], "until": {"type": "duration"}}]}}),
-])
-def test_run_names_a_missing_required_config_key(tmp_path, capsys, message, config):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(path), "--trials", "1"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert err.startswith(f"error: config {path}: markers must be a JSON array")
+    assert len(err.encode()) < 1024
 
 
 def test_default_noise_run_spread_stats_chain(tmp_path, capsys):
@@ -399,67 +225,13 @@ def test_noisy_poses_stay_python_floats():
     assert type(result.final_pose.x) is float and type(result.final_pose.y) is float
 
 
-def test_run_rejects_non_finite_marker_position(tmp_path, capsys):
-    path = tmp_path / "nan.json"
-    path.write_text('{"task": "forward", "markers": '
-                    '[{"x": NaN, "y": 0.0, "radius": 0.06, "color": "pink"}]}')
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    assert "marker position must be finite" in capsys.readouterr().err
-    assert not list(tmp_path.glob("**/trajectory_*.csv"))
-
-
 def test_run_rejects_negative_seed(tmp_path, capsys):
+    # the flag's own error, which names no file even beside --config
     out = tmp_path / "out"
-    assert main(["run", "--task", "track", "--trials", "1", "--seed", "-1",
-                 "--out", str(out)]) == 2
-    assert "base_seed must be >= 0" in capsys.readouterr().err
-    cfg = write_config(tmp_path, base_seed=-3)
-    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
-    assert "base_seed must be >= 0" in capsys.readouterr().err
-    assert not list(tmp_path.glob("**/trajectory_*.csv"))
-
-
-@pytest.mark.parametrize("key, value", [
-    ("drone_start", [float("nan"), 0.0]),
-    ("carrier_start", [0.0, float("inf")]),
-    ("carrier_waypoints", [[1.0, 0.0], [float("nan"), 0.0]]),
-])
-def test_run_rejects_non_finite_start_and_waypoints(tmp_path, capsys, key, value):
-    config = {"task": "coordination"}
-    if key == "carrier_waypoints":
-        config["sim"] = {key: value}
-    else:
-        config[key] = value
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    assert f"{key} must be a finite [x, y] pair" in capsys.readouterr().err
+    for source in (["--task", "track"], ["--config", str(write_config(tmp_path))]):
+        assert main(["run", *source, "--trials", "1", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -1\n"
     assert not out.exists()
-
-
-def test_run_rejects_tick_budget_overrun_before_writing(tmp_path, capsys):
-    cfg = write_config(tmp_path, timeout_s=1e6)   # 10^7 ticks at dt 0.1
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "timeout_s 1000000.0 at dt 0.1" in err and "budget" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("radius, message", [
-    ("Infinity", "marker radius must be positive and finite"),
-    ("1e306", "is too large to draw"),
-])
-def test_run_rejects_marker_radius_that_overflows(tmp_path, capsys, radius, message):
-    path = tmp_path / "huge.json"
-    path.write_text('{"task": "track", "markers": '
-                    f'[{{"x": 0.3, "y": 0.2, "radius": {radius}, "color": "pink"}}]}}')
-    assert main(["run", "--config", str(path), "--trials", "1",
-                 "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 HUGE_MARKER = {"task": "track",
@@ -473,7 +245,9 @@ def test_run_that_fails_in_a_trial_leaves_no_output_directory(tmp_path, capsys, 
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--trials", "2",
                  "--out", str(out / "nested"), *flags]) == 2
-    assert "is too large to draw" in capsys.readouterr().err
+    err = capsys.readouterr().err   # --dump-frames prints the frame size first
+    assert err.splitlines()[-1] == "error: marker pixel radius inf is too large to draw"
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -486,175 +260,6 @@ def test_run_that_fails_in_a_trial_leaves_an_existing_out_directory_as_it_was(tm
     assert main(["run", "--config", str(path), "--out", str(out), "--dump-frames"]) == 2
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "keep me\n"
-
-
-@pytest.mark.parametrize("message, config", [
-    ("unknown config key 'timeot_s'", {"task": "forward", "timeot_s": 5}),
-    ("unknown marker key 'hieght'",
-     {"task": "track",
-      "markers": [{"x": 0.3, "y": 0.2, "radius": 0.06, "color": "pink", "hieght": 1.0}]}),
-    ("unknown square trajectory key 'ofset_px'",
-     {"task": "forward", "trajectory": {"type": "square", "side_duration_s": 4.0,
-                                        "ofset_px": 50}}),
-    ("unknown forward trajectory key 'side_duration_s'",
-     {"task": "forward", "trajectory": {"side_duration_s": 4.0}}),
-    ("unknown segments trajectory key 'segment'",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [], "segment": []}}),
-    ("unknown segment key 'untill'",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [
-         {"target": [320, 80], "untill": {"type": "duration", "seconds": 5.0}}]}}),
-    ("unknown duration termination key 'color'",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [
-         {"target": [320, 80], "until": {"type": "duration", "seconds": 5.0,
-                                         "color": "pink"}}]}}),
-    ('a track config takes no "trajectory" key',
-     {"task": "track", "trajectory": {"type": "spiral", "side_duration_s": "x"}}),
-])
-def test_run_rejects_unknown_config_keys(tmp_path, capsys, message, config):
-    path = tmp_path / "typo.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("message, config", [
-    ("sim must be a JSON object", {"task": "forward", "sim": [["dt", 0.2]]}),
-    ("gains must be a JSON object", {"task": "forward", "sim": {"gains": None}}),
-    ("gains must be a JSON object", {"task": "forward", "sim": {"gains": False}}),
-    ("frame must be a JSON object", {"task": "forward", "sim": {"frame": 0}}),
-    ("noise must be a JSON object", {"task": "forward", "sim": {"noise": []}}),
-    ("markers must be a JSON array", {"task": "forward", "markers": {}}),
-    ("carrier_waypoints must be a JSON array",
-     {"task": "coordination", "sim": {"carrier_waypoints": {}}}),
-    ("search_color must be a color name string", {"task": "forward", "search_color": 5}),
-    ("home_color must be a color name string", {"task": "return", "home_color": None}),
-    ("color must be a color name string",
-     {"task": "forward", "markers": [{"x": 1.0, "y": 0.0, "radius": 0.06, "color": 5}]}),
-    ("color must be a color name string",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": [
-         {"target": [320, 80], "until": {"type": "marker", "color": 1}}]}}),
-    ("drone_start must be a finite [x, y] pair", {"task": "forward", "drone_start": 5}),
-    ("carrier_waypoints must be a finite [x, y] pair",
-     {"task": "coordination", "sim": {"carrier_waypoints": [5]}}),
-    ("segments must be a JSON array",
-     {"task": "forward", "trajectory": {"type": "segments", "segments": 5}}),
-])
-def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, message, config):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, config", [
-    ("home_color", {"task": "return", "home_color": "purple"}),
-    ("search_color", {"task": "forward", "search_color": "purple"}),
-    ("color", {"task": "forward",
-               "markers": [{"x": 1.0, "y": 0.0, "radius": 0.06, "color": "purple"}]}),
-    ("color", {"task": "forward", "trajectory": {"type": "segments", "segments": [
-        {"target": [320, 80], "until": {"type": "marker", "color": "purple"}}]}}),
-])
-def test_run_rejects_an_unknown_color_naming_its_key(tmp_path, capsys, key, config):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        f"error: {key}: unknown color 'purple'; known: pink, blue, red, green, yellow, orange\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, value", [("trials", 2.7), ("base_seed", "0")])
-def test_run_rejects_non_integer_trials_and_seed(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, **{key: value})
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{key} must be an integer" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("message, sim", [
-    ("literal_axes must be true or false", {"gains": {"literal_axes": "false"}}),
-    ("frame width must be an integer >= 1", {"frame": {"width": 640.5}}),
-    ("min_blob_size must be an integer >= 1", {"min_blob_size": -5}),
-    ("min_blob_size must be an integer >= 1", {"min_blob_size": 2.5}),
-])
-def test_run_rejects_mistyped_switches_and_sizes(tmp_path, capsys, message, sim):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"task": "track", "sim": sim}))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, config", [
-    ("timeout_s", {"task": "forward", "timeout_s": "30"}),
-    ("radius", {"task": "track",
-                "markers": [{"x": 0.3, "y": 0.2, "radius": True, "color": "pink"}]}),
-    ("seconds", {"task": "forward", "trajectory": {"type": "segments", "segments": [
-        {"target": [320, 80], "until": {"type": "duration", "seconds": "5"}}]}}),
-    ("dt", {"task": "forward", "sim": {"dt": True}}),
-    ("drift_std", {"task": "forward", "sim": {"noise": {"drift_std": "0.01"}}}),
-    # integers too large for a float
-    ("timeout_s", {"task": "forward", "timeout_s": 10**400}),
-    ("x", {"task": "track",
-           "markers": [{"x": 10**400, "y": 0.2, "radius": 0.1, "color": "pink"}]}),
-    ("min_blob_size", {"task": "forward", "sim": {"min_blob_size": 10**400}}),
-    ("target", {"task": "forward", "trajectory": {"type": "segments", "segments": [
-        {"target": [320, 10**400], "until": {"type": "duration", "seconds": 5}}]}}),
-])
-def test_run_rejects_config_numbers_that_are_not_json_numbers(tmp_path, capsys, key, config):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    assert f"{key} must be a number" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("text, message", [
-    # an integer over int()'s digit limit (4 300 by default) fails inside
-    # json.loads, before any key is read, so the file is named instead
-    ('{"task": "forward", "timeout_s": 1' + "0" * 5000 + "}",
-     "error: config {path} holds a number too long to read: "),
-    # _unique_keys' ScenarioError, a ValueError too, passes through as it is
-    ('{"task": "forward", "timeout_s": 5, "timeout_s": 6}',
-     "error: config names key 'timeout_s' twice\n"),
-])
-def test_run_rejects_config_integers_too_long_to_read(tmp_path, capsys, text, message):
-    path = tmp_path / "bad.json"
-    path.write_text(text)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(message.format(path=path)) and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, sim", [
-    ("hover_threshold", '{"gains": {"hover_threshold": NaN}}'),
-    ("drift_std", '{"noise": {"drift_std": NaN}}'),
-    ("takeoff_jitter_std", '{"noise": {"takeoff_jitter_std": NaN}}'),
-    ("carrier_speed", '{"carrier_speed": -0.3, "carrier_waypoints": [[1.0, 0.0]]}'),
-    ("carrier_speed", '{"carrier_speed": NaN, "carrier_waypoints": [[1.0, 0.0]]}'),
-    ("carrier_height", '{"carrier_height": NaN}'),
-    ("carrier_marker_radius", '{"carrier_marker_radius": NaN}'),
-])
-def test_run_rejects_non_finite_and_out_of_range_sim_values(tmp_path, capsys, key, sim):
-    path = tmp_path / "bad.json"
-    path.write_text(f'{{"task": "coordination", "sim": {sim}}}')
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
-    assert not out.exists()
 
 
 def test_run_with_a_duration_too_long_to_count_in_ticks_times_out(tmp_path, capsys):
@@ -732,20 +337,6 @@ def test_dump_of_frames_over_the_size_cap_exits_2_before_any_trial(tmp_path, cap
     assert size > MAX_DUMP_FRAME_BYTES
     assert f"error: frame.width x frame.height makes a {size}-byte frame" in err
     assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("target", [[1.7e308, 1.7e308], [-1.7e308, 1e308]])
-def test_run_rejects_a_target_whose_pixel_error_overflows(tmp_path, capsys, target):
-    # each coordinate is finite but the error norm is not, so err_px would be inf
-    path = tmp_path / "far.json"
-    path.write_text(json.dumps({"task": "forward", "trajectory": {
-        "type": "segments",
-        "segments": [{"target": target, "until": {"type": "duration", "seconds": 1.0}}]}}))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--trials", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: target {target!r}") and "overflows" in err
     assert not out.exists()
 
 

@@ -363,20 +363,6 @@ def test_blank_csv_lines_between_rows_are_skipped(tmp_path):
         assert len(read(path)) == len(lines) - 1
 
 
-def test_load_trajectory_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("step,time_s,drone_x\n0,0.0,0.0\n")
-    with pytest.raises(MalformedLogError):
-        load_trajectory(path)
-
-
-def test_read_results_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("trial,seed\n0,0\n")
-    with pytest.raises(MalformedLogError):
-        read_results_csv(path)
-
-
 def test_campaign_validation():
     sc = default_scenario("track")
     with pytest.raises(ValueError):

@@ -233,6 +233,19 @@ def test_marker_position_and_color_validation():
             Marker((0, 0), 0.1, bad)
 
 
+def test_a_marker_keeps_a_float_copy_of_its_position():
+    # a list kept as given made the marker unhashable, and a later change to
+    # it moved world.markers but not the disc render draws
+    position = [0, 0]
+    marker = Marker(position, 0.06, Color.PINK)
+    world = make_world(0, [marker], drone=HOVER)
+    position[0] = 5
+    assert marker.position == (0.0, 0.0) and {type(v) for v in marker.position} == {float}
+    assert hash(marker) == hash(Marker((0.0, 0.0), 0.06, Color.PINK))
+    assert world.markers[0].position == (0.0, 0.0)
+    assert detect(capture(world, SimConfig()), Color.PINK).center == (320.0, 180.0)
+
+
 # Scenes of 1-6 discs placed in units of the ground footprint, so they
 # overlap, repeat colors and cross the frame edges; altitudes go down to the
 # last landing ticks and radii up to discs that fill the frame; some sit
