@@ -234,6 +234,20 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radius, message", [
+    ("Infinity", "marker radius must be positive and finite"),
+    ("1e306", "is too large to draw"),
+])
+def test_run_rejects_marker_radius_that_overflows(tmp_path, capsys, radius, message):
+    path = tmp_path / "huge.json"
+    path.write_text('{"task": "track", "markers": '
+                    f'[{{"x": 0.3, "y": 0.2, "radius": {radius}, "color": "pink"}}]}}')
+    assert main(["run", "--config", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 HUGE_MARKER = {"task": "track",
                "markers": [{"x": 0.3, "y": 0.2, "radius": 1e306, "color": "pink"}]}
 

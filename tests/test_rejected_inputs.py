@@ -102,6 +102,8 @@ CONFIG_ROWS = [
     ({"task": "track", "trajectory": {"type": "spiral", "side_duration_s": "x"}},
      'a track config takes no "trajectory" key: a track mission flies no search'),
     ({"task": "forward", "trajectory": {"type": "spiral"}}, "unknown trajectory type 'spiral'"),
+    (_segment({"type": "blah"}), "unknown termination type 'blah'"),
+    ({"task": "fly"}, "unknown task 'fly' (expected track|forward|return|coordination)"),
     ({"task": "forward", "markers": [{"x": 1.0, "radius": 0.06, "color": "pink"}]},
      "marker is missing key 'y'"),
     ({"task": "track", "markers": [{}]}, "marker is missing key 'x'"),
@@ -118,6 +120,7 @@ CONFIG_ROWS = [
     ({"task": "forward", "trajectory": 5}, "trajectory must be a JSON object, got 5"),
     (_segment("pink"), "termination must be a JSON object, got 'pink'"),
     ({"task": "forward", "markers": {}}, "markers must be a JSON array, got {}"),
+    ({"task": "forward", "markers": [5]}, "marker must be a JSON object, got 5"),
     (_sim("coordination", carrier_waypoints={}), "carrier_waypoints must be a JSON array, got {}"),
     ({"task": "forward", "trajectory": {"type": "segments", "segments": 5}},
      "segments must be a JSON array, got 5"),
@@ -170,7 +173,15 @@ CONFIG_ROWS = [
     (_marker(x=NAN), f"{BAD}marker position must be finite (x, y), got (nan, 0.0)"),
     (_marker("track", x=0.3, y=0.2, radius=INF),
      f"{BAD}marker radius must be positive and finite"),
+    ({"task": "forward", "timeout_s": 0}, "timeout must be a positive finite number, got 0.0"),
     (_sim("forward", dt=-1.0), f"{BAD}dt must be positive and finite, got -1.0"),
+    (_sim("forward", altitude=0), f"{BAD}altitude must be positive and finite, got 0.0"),
+    (_sim("forward", frame={"focal_length": 0}), f"{BAD}focal_length must be positive and finite"),
+    ({"task": "forward", "trajectory": {"type": "segments", "segments": []}},
+     f"{BAD}a trajectory needs at least one segment"),
+    (_segment({"type": "duration", "seconds": 0}), f"{BAD}duration must be positive"),
+    (_segment({"type": "distance", "meters": -1}), f"{BAD}distance must be positive"),
+    (_square(side_duration_s=0), f"{BAD}side_duration must be positive"),
     (_sim("forward", gains={"k": -1}), f"{BAD}gain k must be positive and finite"),
     (_sim("track", gains={"max_speed": INF}), f"{BAD}max_speed must be positive and finite"),
     *[(_sim(task, gains={"hover_threshold": NAN}), f"{BAD}hover_threshold must be finite and >= 0")
