@@ -13,7 +13,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import PixelPoint, _checked_make, _require_finite
+from .geometry import _FLOAT_MAX, PixelPoint, _checked_make, _require_finite
 
 
 class _PixelError(NamedTuple):
@@ -56,11 +56,11 @@ class ControllerGains:
     literal_axes: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.k < math.inf:
+        if not 0 < self.k <= _FLOAT_MAX:
             raise ValueError("gain k must be positive and finite")
-        if not 0 <= self.hover_threshold < math.inf:
+        if not 0 <= self.hover_threshold <= _FLOAT_MAX:
             raise ValueError("hover_threshold must be finite and >= 0")
-        if not 0 < self.max_speed < math.inf:
+        if not 0 < self.max_speed <= _FLOAT_MAX:
             raise ValueError("max_speed must be positive and finite")
         if type(self.literal_axes) is not bool:
             raise ValueError("literal_axes must be true or false, "

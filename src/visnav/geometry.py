@@ -23,8 +23,14 @@ depth is the camera's height above the marker.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
+
+#: The largest float.  A range check ``value <= _FLOAT_MAX`` refuses NaN,
+#: inf and an int larger than any float, where ``value < math.inf`` passes
+#: such an int on to fail later, in float arithmetic, with OverflowError.
+_FLOAT_MAX = sys.float_info.max
 
 
 class GroundedError(ValueError):
@@ -78,7 +84,7 @@ class FrameSpec:
         for name, size in (("width", self.width), ("height", self.height)):
             if type(size) is not int or size < 1:
                 raise ValueError(f"frame {name} must be an integer >= 1, got {size!r}")
-        if not 0 < self.focal_length < math.inf:
+        if not 0 < self.focal_length <= _FLOAT_MAX:
             raise ValueError("focal_length must be positive and finite")
         object.__setattr__(self, "center", PixelPoint(self.width / 2.0, self.height / 2.0))
 

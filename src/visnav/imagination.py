@@ -15,11 +15,13 @@ so a noise-free replay negates the outbound displacement.
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .control import VelocityCommand
-from .geometry import FrameSpec, PixelPoint, _checked_make
+from .geometry import _FLOAT_MAX, FrameSpec, PixelPoint, _checked_make
 from .perception import Color
 
 #: Standard offset of imagined targets from the image center, in pixels.
@@ -44,13 +46,15 @@ class MarkerDetected:
 
 @dataclass(frozen=True)
 class Duration:
-    """Segment ends after this many seconds."""
+    """Segment ends after this many seconds; inf (or a count of ticks that
+    overflows) never ends."""
 
     seconds: float
 
     def __post_init__(self) -> None:
-        if not self.seconds > 0:
-            raise ValueError("duration must be positive")
+        if not (0 < self.seconds <= _FLOAT_MAX or self.seconds == math.inf):
+            raise ValueError("duration seconds must be a positive number that a float holds, "
+                             f"got {reprlib.repr(self.seconds)}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,9 @@ class Distance:
     meters: float
 
     def __post_init__(self) -> None:
-        if not self.meters > 0:
-            raise ValueError("distance must be positive")
+        if not (0 < self.meters <= _FLOAT_MAX or self.meters == math.inf):
+            raise ValueError("distance meters must be a positive number that a float holds, "
+                             f"got {reprlib.repr(self.meters)}")
 
 
 Termination = Union[MarkerDetected, Duration, Distance]
@@ -150,8 +155,8 @@ def square_trajectory(frame: FrameSpec, side_duration: float,
     Under zero-noise kinematics the four sides cancel and the vehicle
     returns to its starting point.
     """
-    if not side_duration > 0:
-        raise ValueError("side_duration must be positive")
+    if not side_duration > 0:   # named by its config key, as MissionSpec names timeout_s
+        raise ValueError(f"side_duration_s must be positive, got {reprlib.repr(side_duration)}")
     offsets = ((0.0, -offset_px), (offset_px, 0.0), (0.0, offset_px), (-offset_px, 0.0))
     return ImaginedTrajectory(tuple(
         ImaginedSegment(offset_target(frame, dx, dy), Duration(side_duration))

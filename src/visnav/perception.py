@@ -13,13 +13,18 @@ pixel of the full grid the color of the nearest disc covering it, and
 averages the watched color's pixels.  render, detect and _moments skip
 only work that cannot change that answer.  In tests/test_perception.py,
 test_a_mission_flies_the_same_with_a_naive_full_grid_camera flies
-generated missions with both cameras and requires the same rows, and
-test_an_indexed_render_equals_projecting_every_marker the same errors.
+generated missions with both cameras and requires the same rows,
+test_an_indexed_render_equals_projecting_every_marker the same errors,
+and test_detect_equals_the_full_grid_and_rasterises_only_what_it_must
+checks detect's closed form against the raster: the same detections,
+a raster window exactly where one is needed, and _moments' sums equal to
+those of the disc's own raster.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +33,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import FrameSpec, GroundedError, PixelPoint, Pose
+from .geometry import _FLOAT_MAX, FrameSpec, GroundedError, PixelPoint, Pose
 
 BACKGROUND = 0
 
@@ -77,13 +82,14 @@ class Marker:
         try:
             x, y = self.position
             finite = math.isfinite(x) and math.isfinite(y)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # OverflowError: an int too large
             finite = False
         if not finite:
-            raise ValueError(f"marker position must be finite (x, y), got {self.position!r}")
-        if not 0 < self.radius < math.inf:
+            raise ValueError("marker position must be finite (x, y), "
+                             f"got {reprlib.repr(self.position)}")
+        if not 0 < self.radius <= _FLOAT_MAX:
             raise ValueError("marker radius must be positive and finite")
-        if not 0 <= self.height < math.inf:
+        if not 0 <= self.height <= _FLOAT_MAX:
             raise ValueError("marker height must be finite and >= 0")
         object.__setattr__(self, "position", (float(x), float(y)))
 

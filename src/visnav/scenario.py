@@ -14,7 +14,7 @@ from numbers import Real
 from pathlib import Path
 from typing import Optional
 
-from .geometry import FrameSpec, PixelPoint, Pose
+from .geometry import _FLOAT_MAX, FrameSpec, PixelPoint, Pose
 from .imagination import (DEFAULT_OFFSET_PX, Distance, Duration, ImaginedSegment,
                           ImaginedTrajectory, MarkerDetected, forward_target,
                           square_trajectory)
@@ -60,8 +60,10 @@ class MissionSpec:
             raise ScenarioError("trajectory must be None or an ImaginedTrajectory, "
                                 f"got {self.trajectory!r}")
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, Real)
-                or not self.timeout > 0 or not math.isfinite(self.timeout)):
-            raise ScenarioError(f"timeout must be a positive finite number, got {self.timeout!r}")
+                or not 0 < self.timeout <= _FLOAT_MAX):
+            # named by its config key, as check_tick_budget names it
+            raise ScenarioError("timeout_s must be a positive finite number, "
+                                f"got {reprlib.repr(self.timeout)}")
         if self.kind is MissionKind.SEARCH_RETURN_LAND and self.home_color is None:
             raise ScenarioError(f"{self.kind.value} missions need a home_color")
         track = self.kind is MissionKind.TRACK_VISIBLE
@@ -86,8 +88,9 @@ class Scenario:
     Raises ScenarioError when ``markers`` is not a tuple of Markers, or when
     the spec is over check_tick_budget.  ``drone_start`` and
     ``carrier_start`` (unless None) are stored as tuples of two floats,
-    copies of the sequences given, once each value passes math.isfinite
-    (a string raises TypeError there, a NaN or an infinity ScenarioError).
+    copies of the sequences given, once each value is a finite float's size
+    (a string raises TypeError there; a NaN, an infinity or an int too large
+    for a float ScenarioError).
     """
 
     spec: MissionSpec
@@ -105,7 +108,7 @@ class Scenario:
             point = getattr(self, key)
             if point is not None:
                 x, y = point
-                if not (math.isfinite(x) and math.isfinite(y)):
+                if not (abs(x) <= _FLOAT_MAX and abs(y) <= _FLOAT_MAX):
                     raise ScenarioError(f"{key} must be finite, got {reprlib.repr(point)}")
                 object.__setattr__(self, key, (float(x), float(y)))
 

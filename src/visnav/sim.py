@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import ControllerGains, VelocityCommand
-from .geometry import FrameSpec, Pose
+from .geometry import _FLOAT_MAX, FrameSpec, Pose
 from .perception import DEFAULT_MIN_BLOB_SIZE, Color, Frame, Marker, Markers, render
 
 
@@ -38,9 +38,9 @@ class NoiseModel:
     takeoff_jitter_std: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0 <= self.drift_std < math.inf:
+        if not 0 <= self.drift_std <= _FLOAT_MAX:
             raise ValueError("drift_std must be finite and >= 0")
-        if not 0 <= self.takeoff_jitter_std < math.inf:
+        if not 0 <= self.takeoff_jitter_std <= _FLOAT_MAX:
             raise ValueError("takeoff_jitter_std must be finite and >= 0")
 
     @classmethod
@@ -73,8 +73,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         for key in ("dt", "altitude", "carrier_marker_radius", "carrier_speed",
                     "climb_rate", "descent_rate"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not 0 < value <= _FLOAT_MAX:
+                raise ValueError(f"{key} must be positive and finite, got {reprlib.repr(value)}")
         if not 0 <= self.carrier_height < self.altitude:
             raise ValueError("carrier_height must be in [0, altitude)")
         if type(self.min_blob_size) is not int or self.min_blob_size < 1:
@@ -83,9 +84,14 @@ class SimConfig:
         if loop_gain >= 1.0:
             raise ValueError(
                 f"unstable discrete loop: dt*k*focal/altitude = {loop_gain:.4g} (must be < 1)")
-        waypoints = tuple((float(x), float(y)) for x, y in self.carrier_waypoints)
-        if not all(math.isfinite(v) for wp in waypoints for v in wp):
-            raise ValueError(f"carrier_waypoints must be finite, got {waypoints!r}")
+        try:
+            waypoints = tuple((float(x), float(y)) for x, y in self.carrier_waypoints)
+            finite = all(math.isfinite(v) for wp in waypoints for v in wp)
+        except OverflowError:   # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("carrier_waypoints must be finite, "
+                             f"got {reprlib.repr(self.carrier_waypoints)}")
         object.__setattr__(self, "carrier_waypoints", waypoints)
 
 

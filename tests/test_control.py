@@ -139,6 +139,8 @@ def test_gains_validation():
     ("k", math.inf), ("k", math.nan),
     ("hover_threshold", math.inf), ("hover_threshold", math.nan),
     ("max_speed", math.inf), ("max_speed", math.nan),
+    *[pytest.param(key, 10**400, id=f"{key}-10**400") for key in ("k", "hover_threshold",
+                                                                    "max_speed")],
 ])
 def test_gains_must_be_finite(key, value):
     with pytest.raises(ValueError, match=key):

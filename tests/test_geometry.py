@@ -129,7 +129,7 @@ def test_frame_spec_validation():
         FrameSpec(0, 360, 320.0)
     with pytest.raises(ValueError):
         FrameSpec(640, 360, 0.0)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="focal_length must be positive and finite"):
             FrameSpec(640, 360, bad)
 

@@ -186,12 +186,13 @@ def test_motion_log_validation():
 
 
 def test_termination_validation():
-    with pytest.raises(ValueError):
-        Duration(0.0)
+    for seconds in (0.0, -1.0, math.nan, 10**400):
+        with pytest.raises(ValueError, match="duration seconds must be"):
+            Duration(seconds)
     with pytest.raises(ValueError):
         ImaginedTrajectory(())
-    for meters in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="distance must be positive"):
+    for meters in (0.0, -1.0, math.nan, 10**400):
+        with pytest.raises(ValueError, match="distance meters must be"):
             Distance(meters)
     assert MarkerDetected(Color.PINK).color is Color.PINK
 

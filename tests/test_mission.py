@@ -514,7 +514,8 @@ def test_mission_spec_validation():
                         ({"trajectory": trajectory.segments[0]}, "trajectory"),
                         ({"trajectory": "forward"}, "trajectory"),
                         ({"timeout": "5"}, "timeout"), ({"timeout": None}, "timeout"),
-                        ({"timeout": True}, "timeout"), ({"timeout": [5.0]}, "timeout")):
+                        ({"timeout": True}, "timeout"), ({"timeout": [5.0]}, "timeout"),
+                        ({"timeout": 10**400}, "timeout")):
         spec = {"kind": MissionKind.SEARCH_RETURN_LAND, "trajectory": trajectory, **fields}
         with pytest.raises(ScenarioError, match=key):
             MissionSpec(**spec)
@@ -544,8 +545,9 @@ def test_scenario_keeps_float_copies_of_its_starts():
                                                    carrier_start=(1.0, 0.0)))
     with pytest.raises(TypeError):
         dataclasses.replace(sc, drone_start="12")
-    with pytest.raises(ScenarioError, match="carrier_start must be finite"):
-        dataclasses.replace(sc, carrier_start=(0.0, math.nan))
+    for point in ((0.0, math.nan), (10**400, 0.0)):
+        with pytest.raises(ScenarioError, match="carrier_start must be finite"):
+            dataclasses.replace(sc, carrier_start=point)
 
 
 def test_tick_budget_is_checked_where_spec_and_config_meet():

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from visnav import (Campaign, Color, Detection, Frame, FrameSpec, GroundedError, Marker,
@@ -213,19 +213,20 @@ def test_write_ppm_format_and_determinism(tmp_path):
 
 
 def test_marker_radius_validation():
-    for bad in (0.0, -0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -0.1, math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="marker radius"):
             Marker((0, 0), bad, Color.PINK)
 
 
 def test_marker_height_validation():
-    for bad in (-0.1, math.inf, math.nan):
-        with pytest.raises(ValueError):
+    for bad in (-0.1, math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="marker height"):
             Marker((0, 0), 0.1, Color.PINK, bad)
 
 
 def test_marker_position_and_color_validation():
-    for bad in ((0.0, math.nan), (math.inf, 0.0), (0.0, 0.0, 0.0), (0.0,), ("0", 0.0), None):
+    for bad in ((0.0, math.nan), (math.inf, 0.0), (10**400, 0.0), (0.0, 0.0, 0.0), (0.0,),
+                ("0", 0.0), None):
         with pytest.raises(ValueError, match="marker position"):
             Marker(bad, 0.1, Color.PINK)
     for bad in ("pink", 1, None):
@@ -265,18 +266,6 @@ def _build(scene, spec):
     markers = [Marker((fy * half_h, fx * half_w), r * half_h, color, h * z)
                for fx, fy, r, color, h in raw]
     return Pose(0.0, 0.0, z, yaw), markers
-
-
-@settings(max_examples=150, deadline=None)
-@given(SCENES)
-def test_detect_on_rendered_frame_matches_detect_on_its_labels(scene):
-    # one frame serves every detect: reading a frame changes nothing in it
-    drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    labels = frame.labels
-    for color in Color:
-        for size in (1, 10):
-            assert detect(frame, color, size) == detect_on_labels(labels, color, size)
 
 
 def test_render_and_a_blind_detect_clip_no_disc():
@@ -336,20 +325,9 @@ def _detect_all(frame):
     the rendered frame's detects made."""
     with mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
         got = [detect(frame, color, size) for color in Color for size in (1, 10)]
-    want = [detect_on_labels(frame.labels, color, size) for color in Color for size in (1, 10)]
+    labels = frame.labels   # read once: each read rasterises the whole grid
+    want = [detect_on_labels(labels, color, size) for color in Color for size in (1, 10)]
     return got, want, raster.call_count
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
-                 st.lists(DISC, min_size=1, max_size=1)))
-def test_isolated_disc_moments_match_full_grid(scene):
-    drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    got, want, _ = _detect_all(frame)
-    assert got == want
-    # a float or numpy scalar would compare equal: the sums must be exact ints
-    assert all(type(v) is int for d in frame.discs for v in perception._moments(d) or ())
 
 
 @contextlib.contextmanager
@@ -364,25 +342,6 @@ def _counting():
         yield clipped, reads, moments, raster
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
-                 st.lists(DISC, min_size=1, max_size=1)))
-def test_a_one_disc_frame_goes_straight_to_the_closed_form(scene):
-    # one _moments call on the one box clipped, and a raster, which reads
-    # the frame's discs, only when _moments does not settle the disc
-    drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    assume(frame.discs)
-    disc, = frame.discs
-    color = Color(disc.code)
-    with _counting() as (clipped, reads, moments, raster):
-        got = detect(frame, color, 1)
-    unsettled = perception._moments(disc) is None
-    assert moments.call_count == 1 and raster.call_count == len(reads) == unsettled
-    assert clipped[:1] == [disc] and len(clipped) == 1 + unsettled
-    assert got == detect_on_labels(frame.labels, color, 1)
-
-
 def _spans_meet(a, b):
     """Whether two (code, x, y, radius) spots' real spans meet."""
     (_, x, y, r), (_, u, v, s) = a, b
@@ -395,67 +354,6 @@ SPARSE = st.tuples(st.floats(0.3, 2.0), st.floats(-math.pi, math.pi),
                                       st.floats(0.02, 0.3), st.sampled_from(list(Color)),
                                       st.sampled_from([0.0, 0.0, 0.4])),
                             min_size=2, max_size=6))
-
-
-@settings(max_examples=150, deadline=None)
-@given(SPARSE)
-def test_a_hit_clear_of_other_spans_clips_only_the_watched_boxes(scene):
-    # when no other spot's span meets a watched one, a settled hit clips
-    # exactly the watched boxes and never reads the frame's discs
-    drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    spots = frame.spots
-    for color in Color:
-        mine = [i for i, spot in enumerate(spots) if spot[0] == color.value]
-        if not mine or any(_spans_meet(spots[i], spot) for i in mine
-                           for j, spot in enumerate(spots) if j != i):
-            continue
-        want = [d for d in frame.discs if d.code == color.value]
-        with _counting() as (clipped, reads, moments, raster):
-            got = detect(frame, color, 1)
-        assert got == detect_on_labels(frame.labels, color, 1)
-        assert raster.call_count == len(reads) <= 1
-        if not reads:
-            assert clipped == want and moments.call_count == len(want)
-
-
-@settings(max_examples=150, deadline=None)
-@given(SCENES)
-def test_a_watched_disc_is_rasterised_iff_its_box_overlaps_or_is_unsettled(scene):
-    # per color: its detect draws the window exactly when one of its
-    # clipped boxes overlaps any other clipped box or _moments does not
-    # settle one of its discs, and it equals the full grid
-    drone, markers = _build(scene, DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    discs = frame.discs
-    boxes = [(d.code, (d.row0, d.row1, d.col0, d.col1)) for d in discs]
-    for color in Color:
-        overlap = any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
-                      for i, (code, a) in enumerate(boxes) if code == color.value
-                      for j, (_, b) in enumerate(boxes) if j != i)
-        unsettled = any(perception._moments(d) is None for d in discs if d.code == color.value)
-        with mock.patch.object(perception, "_raster", wraps=perception._raster) as raster:
-            got = detect(frame, color, 1)
-        assert got == detect_on_labels(frame.labels, color, 1)
-        assert raster.call_count == (overlap or unsettled)
-
-
-@settings(max_examples=150, deadline=None)
-@given(SCENES, st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.sampled_from(list(Color)))
-def test_overlapping_discs_fall_back_to_raster(scene, rho, angle, color):
-    # one more disc, centered inside the first one
-    z, yaw, raw = scene
-    fx, fy, r, _, h = raw[0]
-    aspect = DEFAULT.height / DEFAULT.width     # footprint units: fx in half widths
-    extra = (fx + rho * r * math.cos(angle) * aspect, fy + rho * r * math.sin(angle), r, color, h)
-    drone, markers = _build((z, yaw, raw + [extra]), DEFAULT)
-    frame = render(drone, markers, DEFAULT)
-    got, want, raster_calls = _detect_all(frame)
-    assert got == want
-    boxes = [(d.row0, d.row1, d.col0, d.col1) for d in frame.discs]
-    if any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
-           for i, a in enumerate(boxes) for b in boxes[i + 1:]):
-        assert raster_calls > 0
 
 
 PINK, BLUE, YELLOW = Color.PINK.value, Color.BLUE.value, Color.YELLOW.value
@@ -475,25 +373,6 @@ PINK, BLUE, YELLOW = Color.PINK.value, Color.BLUE.value, Color.YELLOW.value
 def test_only_boxes_that_share_a_pixel_are_rasterised(spots, rasters):
     got, want, raster_calls = _detect_all(Frame(DEFAULT, spots))
     assert got == want and raster_calls == rasters
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi), st.floats(1.0, 15.0),
-       st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-       st.floats(-0.05, 0.05))
-def test_far_centered_disc_matches_full_grid(z, yaw, log_distance, angle, u, v, slack):
-    # a disc centered 10 to 10**15 footprints away whose rim passes near
-    # the frame point (u, v), in units of the half footprint
-    half_w = z * DEFAULT.width / 2 / DEFAULT.focal_length
-    half_h = z * DEFAULT.height / 2 / DEFAULT.focal_length
-    distance = 10.0 ** log_distance * half_w
-    rim = (v * half_h, u * half_w)
-    center = (rim[0] + distance * math.cos(angle), rim[1] + distance * math.sin(angle))
-    radius = math.hypot(center[0] - rim[0], center[1] - rim[1]) + slack * half_w
-    drone = Pose(0.0, 0.0, z, yaw)
-    frame = render(drone, [Marker(center, radius, Color.PINK)], DEFAULT)
-    got, want, _ = _detect_all(frame)
-    assert got == want
 
 
 SMALL = FrameSpec(64, 48, 32.0)
@@ -518,29 +397,98 @@ def pixel_discs(draw):
     return center[0], center[1], radius
 
 
-@settings(max_examples=300, deadline=None)
-@given(pixel_discs())
+def _rendered(scene):
+    """The DEFAULT frame of a drawn scene."""
+    return render(*_build(scene, DEFAULT), DEFAULT)
+
+
+def _with_a_disc_inside(scene, rho, angle, color):
+    """The frame of a scene with one more disc, of the first one's size,
+    centered inside the first one."""
+    z, yaw, raw = scene
+    fx, fy, r, _, h = raw[0]
+    aspect = DEFAULT.height / DEFAULT.width     # footprint units: fx in half widths
+    extra = (fx + rho * r * math.cos(angle) * aspect, fy + rho * r * math.sin(angle), r, color, h)
+    return _rendered((z, yaw, raw + [extra]))
+
+
+def _far_centered(z, yaw, log_distance, angle, u, v, slack):
+    """The frame of a pink disc centered 10 to 10**15 footprints away whose
+    rim passes near the frame point (u, v), in units of the half footprint."""
+    half_w = z * DEFAULT.width / 2 / DEFAULT.focal_length
+    half_h = z * DEFAULT.height / 2 / DEFAULT.focal_length
+    distance = 10.0 ** log_distance * half_w
+    rim = (v * half_h, u * half_w)
+    center = (rim[0] + distance * math.cos(angle), rim[1] + distance * math.sin(angle))
+    radius = math.hypot(center[0] - rim[0], center[1] - rim[1]) + slack * half_w
+    return render(Pose(0.0, 0.0, z, yaw), [Marker(center, radius, Color.PINK)], DEFAULT)
+
+
+def _on_small(disc):
+    """The SMALL frame of one pink (x, y, radius) disc, drawn as given."""
+    return Frame(SMALL, ((Color.PINK.value, *disc),))
+
+
+#: The frames the detect property checks, one family per line: scenes; one
+#: disc; sparse small discs; a disc centered inside another; a far-centered
+#: disc; a pixel_discs() disc on SMALL.
+FRAMES = st.one_of(
+    SCENES.map(_rendered),
+    st.tuples(st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
+              st.lists(DISC, min_size=1, max_size=1)).map(_rendered),
+    SPARSE.map(_rendered),
+    st.builds(_with_a_disc_inside, SCENES, st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi),
+              st.sampled_from(list(Color))),
+    st.builds(_far_centered, st.floats(0.02, 2.0), st.floats(-math.pi, math.pi),
+              st.floats(1.0, 15.0), st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0),
+              st.floats(-1.0, 1.0), st.floats(-0.05, 0.05)),
+    pixel_discs().map(_on_small),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(FRAMES)
 # discs whose probe pass does not settle, so _moments returns None: empty
 # tangent rows (the top and bottom rows reach no pixel center), rows wholly
 # left of the clipped box, and sqrt estimates one column off.  At x = 32 +
 # 1 ulp the tangent rows cover column 32 but their first column is estimated
 # at 33; at y = 11 + 1 ulp row 3 covers column 13 but its first is put at 14.
-@example((32.5, 24.0, 5.0))
-@example((-3.5, 24.0, 5.0))
-@example((math.nextafter(32.0, math.inf), 24.0, 5.0))
-@example((28.0, math.nextafter(11.0, math.inf), 17.0))
-def test_disc_moments_match_its_raster(disc):
-    x, y, radius = disc
-    frame = Frame(SMALL, ((Color.PINK.value, x, y, radius),))
-    discs = frame.discs
-    assume(discs)
-    d, = discs
-    region = perception._raster(discs, (d.row0, d.row1, d.col0, d.col1))
-    moments = perception._moments(d)
-    assert moments is None or moments == perception._label_moments(region, d.code, d.row0, d.col0)
-    assert moments is None or all(type(v) is int for v in moments)
-    # settled or rasterised, detect answers as the full grid does
-    assert detect(frame, Color.PINK, 1) == detect_on_labels(frame.labels, Color.PINK, 1)
+@example(_on_small((32.5, 24.0, 5.0)))
+@example(_on_small((-3.5, 24.0, 5.0)))
+@example(_on_small((math.nextafter(32.0, math.inf), 24.0, 5.0)))
+@example(_on_small((28.0, math.nextafter(11.0, math.inf), 17.0)))
+def test_detect_equals_the_full_grid_and_rasterises_only_what_it_must(frame):
+    # the closed form against the raster: per color, detect answers as the
+    # full grid does; it draws a window iff a watched box overlaps another
+    # box or _moments leaves a watched disc unsettled; and when no other
+    # spot's span meets a watched one, it clips only the watched boxes and
+    # calls _moments once per watched disc up to the first unsettled one
+    labels, discs, spots = frame.labels, frame.discs, frame.spots
+    settled = [perception._moments(d) for d in discs]
+    for d, sums in zip(discs, settled):
+        if sums is not None:
+            # a float or numpy scalar would compare equal: the sums must be exact ints
+            assert all(type(v) is int for v in sums)
+            region = perception._raster((d,), (d.row0, d.row1, d.col0, d.col1))
+            assert sums == perception._label_moments(region, d.code, d.row0, d.col0)
+    boxes = [(d.row0, d.row1, d.col0, d.col1) for d in discs]
+    for color in Color:
+        mine = [i for i, d in enumerate(discs) if d.code == color.value]
+        watched, results = [discs[i] for i in mine], [settled[i] for i in mine]
+        overlap = any(a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
+                      for i, a in enumerate(boxes) if i in mine
+                      for j, b in enumerate(boxes) if j != i)
+        with _counting() as (clipped, reads, moments, raster):
+            got = detect(frame, color, 1)
+        assert got == detect_on_labels(labels, color, 1)
+        assert detect(frame, color, 10) == detect_on_labels(labels, color, 10)
+        assert raster.call_count == len(reads) == (overlap or None in results)
+        own_spots = [i for i, spot in enumerate(spots) if spot[0] == color.value]
+        if not any(_spans_meet(spots[i], spot) for i in own_spots
+                   for j, spot in enumerate(spots) if j != i):
+            calls = results.index(None) + 1 if None in results else len(results)
+            assert moments.call_count == calls
+            assert clipped == watched + (list(discs) if reads else [])
 
 
 @pytest.mark.parametrize("disc", [
@@ -766,7 +714,8 @@ def render_outcome(draw, *args):
           + [Marker((10.0, 0.0), 0.05, Color.RED)], FrameSpec(3, 200, 5.0), None))
 def test_an_indexed_render_equals_projecting_every_marker(scene):
     # the pad goes in as a plain row, against a blue Marker after the rest;
-    # a bare tuple takes render's own full scan
+    # a bare tuple, which render makes a Markers on each call (indexed from
+    # _INDEXED_FROM markers on), gives the same frame or error
     drone, markers, spec, pad = scene
     indexed = Markers(markers)
     assert (indexed._view[-1] is None) == (len(markers) < Markers._INDEXED_FROM)
@@ -782,7 +731,8 @@ def test_an_indexed_render_equals_projecting_every_marker(scene):
 @pytest.mark.parametrize("n", [Markers._INDEXED_FROM - 1, Markers._INDEXED_FROM, 40])
 def test_a_snapshot_and_a_bare_tuple_capture_what_the_world_captures(n):
     # markers every 0.1 m along x, beside the path, on either side of the
-    # count rule; a bare tuple assigned to a world projects every marker
+    # count rule; a bare tuple assigned to a world stays a tuple, which
+    # render makes a Markers on each capture
     markers = [Marker((0.1 * k - 1.0, 0.4 * (-1) ** k), 0.05, list(Color)[k % 6])
                for k in range(n)]
     cfg = SimConfig(noise=NoiseModel.zero())

@@ -173,15 +173,17 @@ CONFIG_ROWS = [
     (_marker(x=NAN), f"{BAD}marker position must be finite (x, y), got (nan, 0.0)"),
     (_marker("track", x=0.3, y=0.2, radius=INF),
      f"{BAD}marker radius must be positive and finite"),
-    ({"task": "forward", "timeout_s": 0}, "timeout must be a positive finite number, got 0.0"),
+    ({"task": "forward", "timeout_s": 0}, "timeout_s must be a positive finite number, got 0.0"),
     (_sim("forward", dt=-1.0), f"{BAD}dt must be positive and finite, got -1.0"),
     (_sim("forward", altitude=0), f"{BAD}altitude must be positive and finite, got 0.0"),
     (_sim("forward", frame={"focal_length": 0}), f"{BAD}focal_length must be positive and finite"),
     ({"task": "forward", "trajectory": {"type": "segments", "segments": []}},
      f"{BAD}a trajectory needs at least one segment"),
-    (_segment({"type": "duration", "seconds": 0}), f"{BAD}duration must be positive"),
-    (_segment({"type": "distance", "meters": -1}), f"{BAD}distance must be positive"),
-    (_square(side_duration_s=0), f"{BAD}side_duration must be positive"),
+    (_segment({"type": "duration", "seconds": 0}),
+     f"{BAD}duration seconds must be a positive number that a float holds, got 0.0"),
+    (_segment({"type": "distance", "meters": -1}),
+     f"{BAD}distance meters must be a positive number that a float holds, got -1.0"),
+    (_square(side_duration_s=0), f"{BAD}side_duration_s must be positive, got 0.0"),
     (_sim("forward", gains={"k": -1}), f"{BAD}gain k must be positive and finite"),
     (_sim("track", gains={"max_speed": INF}), f"{BAD}max_speed must be positive and finite"),
     *[(_sim(task, gains={"hover_threshold": NAN}), f"{BAD}hover_threshold must be finite and >= 0")

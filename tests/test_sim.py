@@ -168,6 +168,9 @@ def test_sim_config_validation():
     ("carrier_speed", math.inf), ("carrier_marker_radius", 0.0),
     ("carrier_marker_radius", math.nan), ("carrier_marker_radius", math.inf),
     ("carrier_waypoints", ((math.nan, 0.0),)), ("carrier_waypoints", ((1.0, 0.0), (0.0, math.inf))),
+    *[pytest.param(key, 10**400, id=f"{key}-10**400") for key in ("dt", "altitude",
+                                                                    "carrier_speed")],
+    pytest.param("carrier_waypoints", ((1.0, 0.0), (10**400, 0.0)), id="carrier_waypoints-10**400"),
 ])
 def test_sim_config_rejects_non_finite_and_out_of_range_values(key, value):
     with pytest.raises(ValueError, match=key):
@@ -175,7 +178,7 @@ def test_sim_config_rejects_non_finite_and_out_of_range_values(key, value):
 
 
 @pytest.mark.parametrize("key", ["drift_std", "takeoff_jitter_std"])
-@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_noise_std_must_be_finite_and_non_negative(key, value):
     with pytest.raises(ValueError, match=key):
         NoiseModel(**{key: value})
